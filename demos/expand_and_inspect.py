@@ -15,8 +15,8 @@ from qunimodal import (
     check_unimodal,
     evaluate_at_minus_one,
     evaluate_at_one,
-    mul_binomial,
-    Polynomial,
+    main_rows,
+    product_rows,
     check_almost_unimodal,
 )
 
@@ -34,18 +34,13 @@ for n in range(4):
 
 # The signed variant of the same product has a strict sign cycle
 # +,-,- along the coefficient index. Zeros are allowed anywhere.
-signed = Polynomial([1])
-for k in range(3):
-    signed = mul_binomial(signed, -1, 3 * k + 1)
-    signed = mul_binomial(signed, -1, 3 * k + 2)
+*_, signed = main_rows(2, sign=-1)
 print("signed product, n=2:", list(signed.coeffs))
 
 # Distinct odd parts give an almost-unimodal row: the q^2 coefficient
 # is forced to zero (2 is even and 1+1 repeats a part), so the bare
 # check fails right there while trimming three entries fixes it.
-odd = Polynomial([1])
-for k in range(1, 31):
-    odd = mul_binomial(odd, 1, 2 * k - 1)
+(odd,) = product_rows([[(1, 2 * k - 1) for k in range(1, 31)]])
 print("odd-parts row head:", list(odd.coeffs[:8]), "...")
 bare = check_almost_unimodal(odd, 0)
 trimmed = check_almost_unimodal(odd, 3)

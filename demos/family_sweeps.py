@@ -2,7 +2,7 @@
 Sweep whole families through the structural checks
 ===================================================
 
-Three sweeps: the main family through n = 60 via the recurrence, the
+Three sweeps: the main family through n = 60 as one row stream, the
 signed product through n = 30, and the quotient family at r = 3. Each
 row is one line; nothing here should ever fail.
 """
@@ -15,18 +15,13 @@ from qunimodal import (
     check_sign_pattern,
     check_symmetric,
     check_unimodal,
-    mul_binomial,
-    recurrence_step,
+    main_rows,
     replay_induction,
-    Polynomial,
 )
 
 t0 = time.time()
-p = build_product(ProductSpec.main(0))
 rows = []
-for n in range(61):
-    if n:
-        p = recurrence_step(p, n)
+for n, p in enumerate(main_rows(60)):
     sym = check_symmetric(p).passed
     uni = check_unimodal(p)
     rows.append((n, p.degree, sym, uni.passed, uni.mode_lo, uni.mode_hi))
@@ -42,13 +37,7 @@ rep = replay_induction(60)
 print("induction replay:", rep.passed, "-", rep.details)
 print()
 
-signed = Polynomial([1])
-bad = 0
-for n in range(31):
-    signed = mul_binomial(signed, -1, 3 * n + 1)
-    signed = mul_binomial(signed, -1, 3 * n + 2)
-    if not check_sign_pattern(signed, 3, "+--").passed:
-        bad += 1
+bad = sum(not check_sign_pattern(signed, 3, "+--").passed for signed in main_rows(30, sign=-1))
 print(f"signed product keeps the +-- cycle through n=30: {bad == 0}")
 print()
 

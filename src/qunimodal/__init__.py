@@ -17,7 +17,6 @@ script in :mod:`qunimodal.cli` drives the same functions.
 
 from .errors import (
     AlmkvistDivisionInexact,
-    CacheCorrupt,
     DegreeMismatch,
     DomainViolation,
     GridTooCoarse,
@@ -35,8 +34,10 @@ from .polynomials import (
     evaluate_at_minus_one,
     evaluate_at_one,
     main_degree,
+    main_rows,
     mul_binomial,
     parse_dump,
+    product_rows,
     recurrence_step,
 )
 from .checks import (
@@ -75,14 +76,12 @@ from .analytic import (
     trig_identity_residual,
     trig_inequality_margin,
 )
-from .cache import cache_load, cache_store, resolve_cache_dir
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlmkvistDivisionInexact",
     "BoundCertificate",
-    "CacheCorrupt",
     "CheckReport",
     "DegreeMismatch",
     "DomainViolation",
@@ -95,8 +94,6 @@ __all__ = [
     "SingularPoint",
     "ToolkitError",
     "build_product",
-    "cache_load",
-    "cache_store",
     "certify_E_bound",
     "check_almost_unimodal",
     "check_lemma_range",
@@ -123,14 +120,15 @@ __all__ = [
     "integrand",
     "integrate_oscillatory",
     "main_degree",
+    "main_rows",
     "mu_of",
     "mul_binomial",
     "parse_dump",
+    "product_rows",
     "quad_I",
     "reconstruction_sweep",
     "recurrence_step",
     "replay_induction",
-    "resolve_cache_dir",
     "sign_accord_sweep",
     "sweep_identity_residuals",
     "sweep_inequality_margins",

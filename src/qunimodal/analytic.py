@@ -30,7 +30,10 @@ import numpy as np
 
 from .checks import CheckReport
 from .errors import DomainViolation, GridTooCoarse, NearSingular, SingularPoint
-from .polynomials import Polynomial, ProductSpec, build_product, coeff, main_degree, mul_binomial
+from .polynomials import coeff, main_degree, main_rows
+
+# Unused here, but bench/tracing.py wraps these names in this module; keep them bound.
+from .polynomials import build_product, mul_binomial  # noqa: F401
 from .quadrature import QuadratureResult, integrate_oscillatory
 
 __all__ = [
@@ -182,7 +185,21 @@ def quad_I(n: int, mu: float, a: float, b: float, max_panels: int = 1_000_000) -
     return integrate_oscillatory(lambda th: integrand(n, mu, th), a, b, frequency, max_panels)
 
 
-def coeff_by_integral(n: int, m: int, max_n: int = 12, max_panels: int = 1_000_000) -> float:
+# Largest row whose coefficients double precision can rebuild from the integral.
+_RECONSTRUCTION_MAX_N = 12
+
+
+def _reconstruction_guard(n: int, max_n: int) -> None:
+    if n > max_n:
+        raise GridTooCoarse(
+            f"coefficient reconstruction above n={max_n} exceeds the double "
+            f"precision budget (prefactor 2**{2 * n + 3})"
+        )
+
+
+def coeff_by_integral(
+    n: int, m: int, max_n: int = _RECONSTRUCTION_MAX_N, max_panels: int = 1_000_000
+) -> float:
     """Reconstruct one exact coefficient from the cosine product integral.
 
     The prefactor 2**(2n+3) amplifies quadrature and rounding noise, so
@@ -193,11 +210,7 @@ def coeff_by_integral(n: int, m: int, max_n: int = 12, max_panels: int = 1_000_0
     d = main_degree(n)
     if not 0 <= m <= d:
         raise ValueError(f"m must lie in [0, {d}], got {m}")
-    if n > max_n:
-        raise GridTooCoarse(
-            f"coefficient reconstruction above n={max_n} exceeds the double "
-            f"precision budget (prefactor 2**{2 * n + 3})"
-        )
+    _reconstruction_guard(n, max_n)
     mu = d - 2 * m
     result = integrate_oscillatory(
         lambda th: np.cos(mu * th) * cosine_product(n, th),
@@ -242,26 +255,16 @@ def e_exponent(n: int, theta: float) -> float:
 
     Combines the closed forms of sum sin^2 and sum sin^4 over both
     residue classes of the product into a single exponent; the envelope
-    itself is exp(e_exponent). Raises :class:`SingularPoint` when one of
-    the sine denominators vanishes exactly.
+    itself is exp(e_exponent). Scalar form of
+    :func:`envelope_exponent_grid`; raises :class:`SingularPoint` when
+    one of the sine denominators vanishes exactly.
     """
-    s1 = math.sin(theta)
-    s2 = math.sin(2.0 * theta)
-    s3 = math.sin(3.0 * theta)
-    s6 = math.sin(6.0 * theta)
-    if 0.0 in (s1, s2, s3, s6):
-        raise SingularPoint(f"sine denominator vanished at theta={theta!r}")
-    return (
-        -11.0 * (n + 1) / 16.0
-        + 3.0 * math.sin((6 * n + 5) * theta) / (16.0 * s1)
-        - math.sin((12 * n + 10) * theta) / (64.0 * s2)
-        - 3.0 * math.sin((6 * n + 3) * theta) / (16.0 * s3)
-        + math.sin((12 * n + 6) * theta) / (64.0 * s6)
-    )
+    values, _ = envelope_exponent_grid(n, np.array([theta], dtype=float))
+    return float(values[0])
 
 
 def envelope_exponent_grid(n: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`e_exponent` plus a per-point rounding error bound.
+    """The envelope exponent on a grid plus a per-point rounding error bound.
 
     The error model charges each of the four ratio terms a few ulps of
     its numerator argument divided by its denominator magnitude; the
@@ -400,13 +403,13 @@ def f_log(n: float) -> float:
     )
 
 
-def f_log_derivative(n: float) -> float:
-    """d/dn log f = 4.5/n + 6/((3n+1)(6n+4)) - 0.163.
+def f_log_derivative(n):
+    """d/dn log f = 4.5/n + 6/((3n+1)(6n+4)) - 0.163, for a scalar or an array.
 
     Negative from n = 168 on and falling toward -0.163, so f itself is
     strictly decreasing on the certified range.
     """
-    if n < 1:
+    if np.any(np.asarray(n) < 1):
         raise ValueError("n must be >= 1")
     return 4.5 / n + 6.0 / ((3.0 * n + 1.0) * (6.0 * n + 4.0)) - ENVELOPE_SLOPE
 
@@ -507,7 +510,7 @@ def f_sweep_certificates(n_lo: int = 168, n_hi: int = 5000) -> list[BoundCertifi
         raise ValueError("sweep range must satisfy 168 <= n_lo < n_hi")
     ns = np.arange(n_lo, n_hi + 1, dtype=float)
     logs = np.array([f_log(v) for v in ns])
-    derivs = 4.5 / ns + 6.0 / ((3.0 * ns + 1.0) * (6.0 * ns + 4.0)) - ENVELOPE_SLOPE
+    derivs = f_log_derivative(ns)
     f168 = f_value(168)
     window_margin = min(F_168_CEILING - f168, f168 - F_168_FLOOR)
     certificates = [
@@ -833,16 +836,18 @@ def reconstruction_sweep(n_max: int = 8, max_panels: int = 1_000_000) -> list[Ch
     """Compare coeff_by_integral with the exact expansion for n <= n_max.
 
     One report per n; ``passed`` means every coefficient of the row came
-    back within 1e-6 relative error.
+    back within 1e-6 relative error. Like :func:`coeff_by_integral`, it
+    stops at n = 12: a larger ``n_max`` raises :class:`GridTooCoarse`
+    before any quadrature runs.
     """
+    _reconstruction_guard(n_max, _RECONSTRUCTION_MAX_N)
     reports = []
-    for n in range(n_max + 1):
-        p = build_product(ProductSpec.main(n))
+    for n, p in enumerate(main_rows(n_max)):
         worst = -1.0
         worst_m = 0
         for m in range(main_degree(n) + 1):
             exact = p.coeffs[m]
-            approx = coeff_by_integral(n, m, max_n=max(n_max, 12), max_panels=max_panels)
+            approx = coeff_by_integral(n, m, max_panels=max_panels)
             rel = abs(approx - exact) / exact
             if rel > worst:
                 worst = rel
@@ -877,10 +882,7 @@ def sign_accord_sweep(n_max: int = 12, max_panels: int = 1_000_000) -> list[Chec
     kernel, sin(theta) sin((mu+1) theta).
     """
     reports = []
-    p = Polynomial([1])
-    for n in range(n_max + 1):
-        p = mul_binomial(p, 1, 3 * n + 1)
-        p = mul_binomial(p, 1, 3 * n + 2)
+    for n, p in enumerate(main_rows(n_max)):
         degree = main_degree(n)
         checked = 0
         skipped = 0

@@ -11,13 +11,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegreeMismatch
-from .polynomials import (
-    Polynomial,
-    ProductSpec,
-    build_product,
-    main_degree,
-    recurrence_step,
-)
+from .polynomials import Polynomial, main_degree, main_rows
+
+# Unused here, but bench/tracing.py wraps these names in this module; keep them bound.
+from .polynomials import build_product, recurrence_step  # noqa: F401
 
 __all__ = [
     "CheckReport",
@@ -141,11 +138,11 @@ def replay_induction(n_max: int) -> CheckReport:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    p = build_product(ProductSpec.main(0))
+    rows = main_rows(n_max)
+    p = next(rows)
     if not check_symmetric(p).passed or _first_rise_after_fall(p.coeffs, 0) is not None:
         return CheckReport("induction", False, n=0, details="base row failed")
-    for n in range(1, n_max + 1):
-        p = recurrence_step(p, n)
+    for n, p in enumerate(rows, start=1):
         sym = check_symmetric(p)
         if not sym.passed:
             return CheckReport(

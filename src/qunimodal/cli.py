@@ -52,7 +52,6 @@ from .analytic import (
     sweep_identity_residuals,
     sweep_inequality_margins,
 )
-from .cache import cache_load, cache_store, resolve_cache_dir
 from .checks import (
     check_almost_unimodal,
     check_lemma_range,
@@ -61,22 +60,11 @@ from .checks import (
     check_unimodal,
     replay_induction,
 )
-from .errors import (
-    CacheCorrupt,
-    DegreeMismatch,
-    DomainViolation,
-    GridTooCoarse,
-    NearSingular,
-    SingularPoint,
-)
-from .polynomials import (
-    Polynomial,
-    ProductSpec,
-    build_product,
-    dump_lines,
-    mul_binomial,
-    recurrence_step,
-)
+from .errors import GridTooCoarse, NearSingular, SingularPoint
+from .polynomials import ProductSpec, build_product, dump_lines, main_rows, product_rows
+
+# Unused here, but bench/tracing.py wraps these names in this module; keep them bound.
+from .polynomials import mul_binomial, recurrence_step  # noqa: F401
 
 __all__ = ["RunConfig", "build_parser", "main", "run"]
 
@@ -103,7 +91,6 @@ class RunConfig:
     out: str = "-"
     report: str = "-"
     plot_csv: str | None = None
-    cache_dir: str | None = None
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -124,9 +111,9 @@ class RunConfig:
         if self.command in ("verify", "lemma", "borwein", "almkvist"):
             if self.n_min < 0 or self.n_min > self.n_max:
                 raise ValueError(f"need 0 <= n_min <= n_max, got [{self.n_min}, {self.n_max}]")
-        wants_quotient = self.command == "almkvist" or (
-            self.command in ("expand", "verify") and self.family == "almkvist"
-        )
+        if self.command == "almkvist" and self.family != "almkvist":
+            raise ValueError("the almkvist command checks the quotient family only")
+        wants_quotient = self.command in ("expand", "verify", "almkvist") and self.family == "almkvist"
         if wants_quotient and (self.r is None or self.r < 2):
             raise ValueError("the quotient family needs --r >= 2")
         if self.command == "expand":
@@ -163,6 +150,8 @@ class RunConfig:
                 raise ValueError("--samples must be >= 1")
             if self.grid_points < 10:
                 raise ValueError("--grid-points must be >= 10")
+            if self.seed < 0:
+                raise ValueError("--seed must be >= 0")
         if self.command == "sweep-f":
             if not 168 <= self.n_min < self.n_max:
                 raise ValueError("sweep-f needs 168 <= n_min < n_max")
@@ -223,24 +212,6 @@ def _sink(path: str):
             yield fh
 
 
-def _main_chain(n_max: int, cache_dir: str | None):
-    """Stream the main family rows 0..n_max, using the cache when given."""
-    prev = None
-    for n in range(n_max + 1):
-        p = None
-        if cache_dir is not None:
-            try:
-                p = cache_load(cache_dir, "main", n)
-            except CacheCorrupt as exc:
-                print(f"qunimodal: warning: {exc}; rebuilding", file=sys.stderr)
-        if p is None:
-            p = build_product(ProductSpec.main(0)) if n == 0 else recurrence_step(prev, n)
-            if cache_dir is not None:
-                cache_store(cache_dir, "main", n, p)
-        yield n, p
-        prev = p
-
-
 def _product_spec(config: RunConfig) -> ProductSpec:
     if config.family == "main":
         return ProductSpec.main(config.n)
@@ -271,18 +242,14 @@ def _cmd_verify(config: RunConfig):
         uni.n = n
         reports.extend((sym, uni))
 
-    if config.family == "main":
-        for n, p in _main_chain(config.n_max, resolve_cache_dir(config.cache_dir)):
+    if config.family in ("main", "odd"):
+        if config.family == "main":
+            rows = main_rows(config.n_max)
+        else:
+            rows = product_rows([(1, 2 * k - 1)] if k else [] for k in range(config.n_max + 1))
+        for n, p in enumerate(rows):
             if n >= config.n_min:
                 run_checks(n, p)
-    elif config.family == "odd":
-        p = Polynomial([1])
-        if config.n_min == 0:
-            run_checks(0, p)
-        for k in range(1, config.n_max + 1):
-            p = mul_binomial(p, 1, 2 * k - 1)
-            if k >= config.n_min:
-                run_checks(k, p)
     elif config.family == "almkvist":
         for n in range(max(config.n_min, 1), config.n_max + 1):
             run_checks(n, build_product(ProductSpec.almkvist(config.r, n)))
@@ -294,7 +261,7 @@ def _cmd_verify(config: RunConfig):
 def _cmd_lemma(config: RunConfig):
     reports = []
     start = max(config.n_min, 1)
-    for n, p in _main_chain(config.n_max, resolve_cache_dir(config.cache_dir)):
+    for n, p in enumerate(main_rows(config.n_max)):
         if n >= start:
             reports.append(check_lemma_range(n, p))
     return reports
@@ -306,26 +273,11 @@ def _cmd_induction(config: RunConfig):
 
 def _cmd_borwein(config: RunConfig):
     reports = []
-    p = Polynomial([1])
-    for n in range(config.n_max + 1):
-        p = mul_binomial(p, -1, 3 * n + 1)
-        p = mul_binomial(p, -1, 3 * n + 2)
+    for n, p in enumerate(main_rows(config.n_max, sign=-1)):
         if n >= config.n_min:
             rep = check_sign_pattern(p, 3, "+--")
             rep.n = n
             reports.append(rep)
-    return reports
-
-
-def _cmd_almkvist(config: RunConfig):
-    reports = []
-    for n in range(max(config.n_min, 1), config.n_max + 1):
-        p = build_product(ProductSpec.almkvist(config.r, n))
-        sym = check_symmetric(p)
-        sym.n = n
-        uni = check_unimodal(p)
-        uni.n = n
-        reports.extend((sym, uni))
     return reports
 
 
@@ -381,7 +333,7 @@ _HANDLERS = {
     "lemma": _cmd_lemma,
     "induction": _cmd_induction,
     "borwein": _cmd_borwein,
-    "almkvist": _cmd_almkvist,
+    "almkvist": _cmd_verify,
     "certify": _cmd_certify,
     "integral": _cmd_integral,
     "trig": _cmd_trig,
@@ -423,7 +375,7 @@ def run(config: RunConfig) -> int:
     except (GridTooCoarse, SingularPoint, NearSingular) as exc:
         print(f"qunimodal {config.command}: inconclusive: {exc}", file=sys.stderr)
         return 3
-    except (DomainViolation, DegreeMismatch) as exc:
+    except ValueError as exc:
         print(f"qunimodal {config.command}: invalid request: {exc}", file=sys.stderr)
         return 2
     if results is None:
@@ -446,10 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--report", default="-", metavar="PATH",
                        help="JSON report destination, '-' for stdout (default)")
 
-    def with_cache(p):
-        p.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="coefficient cache directory (or set QUNIMODAL_CACHE_DIR)")
-
     expand = sub.add_parser("expand", help="write a coefficient dump as m,<value> lines")
     expand.add_argument("--family", default="main", choices=("main", "general", "almkvist", "odd"))
     expand.add_argument("--n", type=int, default=None)
@@ -467,13 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--r", type=int, default=None)
     verify.add_argument("--factors", default=None, metavar="LIST")
     with_report(verify)
-    with_cache(verify)
 
     lemma = sub.add_parser("lemma", help="central window monotonicity sweep")
     lemma.add_argument("--n-min", type=int, default=1)
     lemma.add_argument("--n-max", type=int, default=167)
     with_report(lemma)
-    with_cache(lemma)
 
     induction = sub.add_parser("induction", help="replay the unimodality induction")
     induction.add_argument("--n-max", type=int, default=167)
@@ -488,6 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     almkvist.add_argument("--r", type=int, required=True)
     almkvist.add_argument("--n-min", type=int, default=11)
     almkvist.add_argument("--n-max", type=int, default=40)
+    almkvist.set_defaults(family="almkvist")
     with_report(almkvist)
 
     certify = sub.add_parser("certify", help="grid certificates for the envelope exponent")

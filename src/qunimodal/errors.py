@@ -27,7 +27,3 @@ class NearSingular(ToolkitError):
 
 class DomainViolation(ToolkitError, ValueError):
     """An argument lies outside the stated validity domain."""
-
-
-class CacheCorrupt(ToolkitError):
-    """A cache entry failed its checksum or could not be parsed."""

@@ -8,12 +8,16 @@ a single backwards pass each. Nothing in this module is numerical.
 Three product families are supported:
 
 * ``main``: prod_{k=0}^{n} (1 + q**(3k+1)) (1 + q**(3k+2)), degree
-  3 (n+1)**2. Rows of this family can also be advanced by
-  :func:`recurrence_step`, which is much cheaper than rebuilding.
+  3 (n+1)**2. :func:`main_rows` streams rows 0..n_max of this family
+  (or of its signed variant) one after another, and
+  :func:`recurrence_step` states the paper's recurrence between rows.
 * ``general``: an explicit list of (sign, exponent) binomial factors.
 * ``almkvist``: prod_{k=1}^{n} (1 - q**(rk)) / (1 - q**k), computed by
   exact long division. Divisibility is checked at every step, never
   assumed; a failure raises :class:`AlmkvistDivisionInexact`.
+
+Every product is grown by :func:`product_rows`, which yields the running
+product after each group of factors.
 """
 
 from __future__ import annotations
@@ -33,8 +37,10 @@ __all__ = [
     "evaluate_at_minus_one",
     "evaluate_at_one",
     "main_degree",
+    "main_rows",
     "mul_binomial",
     "parse_dump",
+    "product_rows",
     "recurrence_step",
 ]
 
@@ -158,30 +164,48 @@ def mul_binomial(p: Polynomial, sign: int, exponent: int) -> Polynomial:
     return Polynomial(out)
 
 
+def product_rows(groups: Iterable[Iterable[tuple[int, int]]]) -> Iterator[Polynomial]:
+    """Yield the running product after each group of (sign, exponent) factors.
+
+    Only the current row is kept, so a long chain costs the memory of
+    one row. An empty group yields the product so far unchanged.
+
+    >>> [p.coeffs for p in product_rows([[(1, 1)], [], [(-1, 2)]])]
+    [(1, 1), (1, 1), (1, 1, -1, -1)]
+    """
+    p = Polynomial([1])
+    for group in groups:
+        for sign, exponent in group:
+            p = mul_binomial(p, sign, exponent)
+        yield p
+
+
+def main_rows(n_max: int, sign: int = 1) -> Iterator[Polynomial]:
+    """Rows 0..n_max of prod_{k=0}^{n} (1 + sign q**(3k+1)) (1 + sign q**(3k+2)).
+
+    ``sign=1`` is the main family, ``sign=-1`` its signed variant.
+    """
+    return product_rows(((sign, 3 * k + 1), (sign, 3 * k + 2)) for k in range(n_max + 1))
+
+
 def build_product(spec: ProductSpec) -> Polynomial:
     """Expand the product described by ``spec`` into dense coefficients."""
-    if spec.family == "main":
-        p = Polynomial([1])
-        for k in range(spec.n + 1):
-            p = mul_binomial(p, 1, 3 * k + 1)
-            p = mul_binomial(p, 1, 3 * k + 2)
-        assert p.degree == main_degree(spec.n)
-        return p
-    if spec.family == "general":
-        p = Polynomial([1])
-        for sign, exponent in spec.factors:
-            p = mul_binomial(p, sign, exponent)
-        return p
     if spec.family == "almkvist":
-        numerator = Polynomial([1])
-        for k in range(1, spec.n + 1):
-            numerator = mul_binomial(numerator, -1, spec.r * k)
+        (numerator,) = product_rows([[(-1, spec.r * k) for k in range(1, spec.n + 1)]])
         quotient = numerator
         for k in range(1, spec.n + 1):
-            quotient = divide_exact(quotient, mul_binomial(Polynomial([1]), -1, k))
+            quotient = divide_exact(quotient, Polynomial([1] + [0] * (k - 1) + [-1]))
         assert quotient.degree == (spec.r - 1) * spec.n * (spec.n + 1) // 2
         return quotient
-    raise ValueError(f"unknown product family {spec.family!r}")
+    if spec.family == "main":
+        factors = [(1, e) for k in range(spec.n + 1) for e in (3 * k + 1, 3 * k + 2)]
+    elif spec.family == "general":
+        factors = spec.factors
+    else:
+        raise ValueError(f"unknown product family {spec.family!r}")
+    (p,) = product_rows([factors])
+    assert spec.family != "main" or p.degree == main_degree(spec.n)
+    return p
 
 
 def divide_exact(numerator: Polynomial, denominator: Polynomial) -> Polynomial:

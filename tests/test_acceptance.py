@@ -60,12 +60,10 @@ def test_01_exact_expansion_matches_oracle():
 
 def test_02_full_family_verification(tmp_path):
     t0 = time.time()
-    cache = str(tmp_path / "cache")
 
     def passed_all(command):
         report_path = tmp_path / f"{command}.json"
-        config = RunConfig(command=command, n_max=167, cache_dir=cache,
-                           report=str(report_path))
+        config = RunConfig(command=command, n_max=167, report=str(report_path))
         code = run(config)
         results = json.loads(report_path.read_text())["results"]
         return code == 0 and results and all(r["passed"] for r in results)

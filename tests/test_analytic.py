@@ -221,6 +221,12 @@ class TestComparisonFactor:
             with pytest.raises(ValueError):
                 fn(0)
 
+    def test_log_derivative_on_arrays(self):
+        values = f_log_derivative(np.array([168.0, 1000.0]))
+        assert values.tolist() == [f_log_derivative(168), f_log_derivative(1000)]
+        with pytest.raises(ValueError):
+            f_log_derivative(np.array([168.0, 0.5]))
+
     def test_certificates(self):
         window, decreasing, ceiling = f_sweep_certificates(168, 400)
         assert window.bound_id == "f_168_window"
@@ -362,6 +368,10 @@ class TestReconstructionSweep:
         assert len(reports) == 5
         assert all(r.passed for r in reports)
         assert all("max_rel_err" in r.details for r in reports)
+
+    def test_rows_above_twelve_are_refused(self):
+        with pytest.raises(GridTooCoarse):
+            reconstruction_sweep(13)
 
 
 class TestSignAccord:

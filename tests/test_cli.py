@@ -1,4 +1,4 @@
-"""End-to-end command tests: exit codes, report shape, cache behavior."""
+"""End-to-end command tests: exit codes and report shape."""
 
 import json
 import subprocess
@@ -6,10 +6,7 @@ import sys
 
 import pytest
 
-from qunimodal.cache import cache_load, cache_store
-from qunimodal.cli import main
-from qunimodal.errors import CacheCorrupt
-from qunimodal.polynomials import Polynomial
+from qunimodal.cli import RunConfig, main
 
 
 def run_cli(args, capsys):
@@ -92,6 +89,11 @@ class TestVerify:
         assert code == 2
         assert "n_min" in err
 
+    def test_trim_beyond_half_degree_is_invalid(self, capsys):
+        code, _, err = run_cli(["verify", "--n-max", "3", "--a", "100"], capsys)
+        assert code == 2
+        assert "invalid" in err
+
 
 class TestReportReproducibility:
     def test_results_block_is_stable(self, tmp_path, capsys):
@@ -101,60 +103,6 @@ class TestReportReproducibility:
             second["results"], sort_keys=True
         )
         assert first["metadata"]["config"] == second["metadata"]["config"]
-
-
-class TestCache:
-    def test_populates_and_reuses(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        args = ["verify", "--n-max", "4", "--cache-dir", str(cache)]
-        code, cold = run_report(args, tmp_path, capsys, name="cold.json")
-        assert code == 0
-        assert len(list(cache.glob("main_*.csv"))) == 5
-        assert len(list(cache.glob("main_*.csv.sha256"))) == 5
-        code, warm = run_report(args, tmp_path, capsys, name="warm.json")
-        assert code == 0
-        assert cold["results"] == warm["results"]
-
-    def test_corrupt_entry_rebuilt_with_warning(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        args = ["verify", "--n-max", "3", "--cache-dir", str(cache)]
-        run_report(args, tmp_path, capsys, name="cold.json")
-        victim = cache / "main_00002.csv"
-        victim.write_text(victim.read_text().replace("1", "7", 1))
-        report_path = tmp_path / "after.json"
-        code = main(args + ["--report", str(report_path)])
-        err = capsys.readouterr().err
-        assert code == 0
-        assert "corrupt" in err
-        assert all(r["passed"] for r in json.loads(report_path.read_text())["results"])
-
-    def test_missing_sidecar_is_corrupt(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        args = ["verify", "--n-max", "2", "--cache-dir", str(cache)]
-        run_report(args, tmp_path, capsys, name="cold.json")
-        (cache / "main_00001.csv.sha256").unlink()
-        code, _ = run_report(args, tmp_path, capsys, name="after.json")
-        assert code == 0
-
-    def test_env_var_override(self, tmp_path, capsys, monkeypatch):
-        cache = tmp_path / "from_env"
-        monkeypatch.setenv("QUNIMODAL_CACHE_DIR", str(cache))
-        code, _ = run_report(["verify", "--n-max", "2"], tmp_path, capsys)
-        assert code == 0
-        assert len(list(cache.glob("main_*.csv"))) == 3
-
-    def test_store_load_roundtrip(self, tmp_path):
-        p = Polynomial([1, 0, -2, 5])
-        cache_store(str(tmp_path), "main", 3, p)
-        assert cache_load(str(tmp_path), "main", 3) == p
-        assert cache_load(str(tmp_path), "main", 4) is None
-
-    def test_checksum_mismatch_raises(self, tmp_path):
-        cache_store(str(tmp_path), "main", 1, Polynomial([1, 2, 1]))
-        entry = tmp_path / "main_00001.csv"
-        entry.write_text(entry.read_text() + "3,9\n")
-        with pytest.raises(CacheCorrupt):
-            cache_load(str(tmp_path), "main", 1)
 
 
 class TestStructuralCommands:
@@ -179,6 +127,20 @@ class TestStructuralCommands:
         )
         assert code == 0
         assert len(report["results"]) == 6
+
+    def test_almkvist_is_verify_of_the_quotient_family(self, tmp_path, capsys):
+        span = ["--r", "3", "--n-min", "11", "--n-max", "20"]
+        code, report = run_report(["almkvist"] + span, tmp_path, capsys)
+        same_code, same = run_report(
+            ["verify", "--family", "almkvist"] + span, tmp_path, capsys, name="verify.json"
+        )
+        assert code == same_code == 0
+        assert report["results"] == same["results"]
+        assert report["metadata"]["config"]["family"] == "almkvist"
+
+    def test_almkvist_config_must_name_the_quotient_family(self):
+        with pytest.raises(ValueError):
+            RunConfig(command="almkvist", r=3).validate()
 
     def test_almkvist_needs_r(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -244,6 +206,11 @@ class TestAnalyticCommands:
         assert code == 1
         assert report["results"][-1]["first_violation"] == 49
 
+    def test_integral_above_twelve_is_inconclusive(self, capsys):
+        code, _, err = run_cli(["integral", "--n", "13"], capsys)
+        assert code == 3
+        assert "inconclusive" in err
+
     def test_integral_budget_exhaustion(self, capsys):
         code, _, err = run_cli(["integral", "--n", "8", "--max-panels", "10"], capsys)
         assert code == 3
@@ -255,6 +222,11 @@ class TestAnalyticCommands:
         )
         assert code == 0
         assert len(report["results"]) == 7
+
+    def test_trig_rejects_negative_seed(self, capsys):
+        code, _, err = run_cli(["trig", "--seed", "-1"], capsys)
+        assert code == 2
+        assert "--seed" in err
 
     def test_sweep_f(self, tmp_path, capsys):
         plot = tmp_path / "f.csv"

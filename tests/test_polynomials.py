@@ -14,8 +14,10 @@ from qunimodal.polynomials import (
     evaluate_at_minus_one,
     evaluate_at_one,
     main_degree,
+    main_rows,
     mul_binomial,
     parse_dump,
+    product_rows,
     recurrence_step,
 )
 
@@ -201,6 +203,28 @@ class TestRecurrenceStep:
         for step in range(1, n + 1):
             p = recurrence_step(p, step)
         assert p == build_product(ProductSpec.main(n))
+
+
+class TestRowStream:
+    def test_main_rows_match_oracle(self):
+        rows = list(main_rows(6))
+        assert len(rows) == 7
+        for n, p in enumerate(rows):
+            assert list(p.coeffs) == oracles.naive_product(oracles.main_factors(n))
+
+    def test_signed_main_rows_match_oracle(self):
+        for n, p in enumerate(main_rows(4, sign=-1)):
+            assert list(p.coeffs) == oracles.naive_product(oracles.borwein_factors(n))
+
+    def test_odd_rows_match_oracle(self):
+        groups = [[(1, 2 * k - 1)] if k else [] for k in range(11)]
+        for n, p in enumerate(product_rows(groups)):
+            assert list(p.coeffs) == oracles.naive_product(oracles.odd_factors(n))
+
+    def test_rows_follow_the_groups(self):
+        rows = [p.coeffs for p in product_rows([[], [(1, 2), (-1, 1)], []])]
+        assert rows == [(1,), (1, -1, 1, -1), (1, -1, 1, -1)]
+        assert list(product_rows([])) == []
 
 
 class TestEvaluations:
