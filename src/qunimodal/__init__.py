@@ -67,6 +67,7 @@ from .analytic import (
     i1_lower_bound,
     i2_ratio_check,
     integrand,
+    lobe_ratio_certificates,
     mu_of,
     quad_I,
     reconstruction_sweep,
@@ -118,6 +119,7 @@ __all__ = [
     "i1_lower_bound",
     "i2_ratio_check",
     "integrand",
+    "lobe_ratio_certificates",
     "integrate_oscillatory",
     "main_degree",
     "main_rows",

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
     "i1_lower_bound",
     "i2_ratio_check",
     "integrand",
+    "lobe_ratio_certificates",
     "mu_of",
     "quad_I",
     "reconstruction_sweep",
@@ -147,41 +149,56 @@ class BoundCertificate:
 
 
 def cosine_product(n: int, theta):
-    """prod_{k=0}^{n} cos((3k+1) theta) cos((3k+2) theta), vectorized."""
-    th = np.asarray(theta, dtype=float)
-    out = np.ones_like(th)
-    for k in range(n + 1):
-        out = out * np.cos((3 * k + 1) * th)
-        out = out * np.cos((3 * k + 2) * th)
-    return out
+    """prod_{k=0}^{n} cos((3k+1) theta) cos((3k+2) theta), vectorized.
 
-
-def integrand(n: int, mu: float, theta):
-    """Derivative kernel theta * sin(mu theta) * cosine_product(n, theta).
-
-    Accepts a scalar or an array of angles; returns the same shape.
+    Each pair of factors folds into one through the product-to-sum
+    identity cos((3k+1) t) cos((3k+2) t) = (cos t + cos((6k+3) t)) / 2,
+    so the product is 2^-(n+1) prod_k (cos t + cos((6k+3) t)): n+2 cosine
+    evaluations per point instead of 2n+2. Every argument is still an
+    exact integer multiple of theta times one rounding, as in the plain
+    product.
     """
     th = np.asarray(theta, dtype=float)
-    vals = th * np.sin(mu * th) * cosine_product(n, th)
-    if np.ndim(theta) == 0:
+    c1 = np.cos(th)
+    out = np.ones_like(th)
+    buf = np.empty_like(th)
+    for k in range(n + 1):
+        np.multiply(th, 6 * k + 3, out=buf)
+        np.cos(buf, out=buf)
+        buf += c1
+        out *= buf
+    return np.ldexp(out, -(n + 1))
+
+
+def integrand(n: int, mu, theta):
+    """Derivative kernel theta * sin(mu theta) * cosine_product(n, theta).
+
+    Accepts a scalar or an array of angles. ``mu`` is one offset, giving
+    the shape of ``theta``, or a sequence of k offsets, giving k rows that
+    share one evaluation of the cosine product.
+    """
+    th = np.asarray(theta, dtype=float)
+    vals = np.sin(np.multiply.outer(mu, th)) * (th * cosine_product(n, th))
+    if vals.ndim == 0:
         return float(vals)
     return vals
 
 
-def quad_I(n: int, mu: float, a: float, b: float, max_panels: int = 1_000_000) -> QuadratureResult:
+def quad_I(n: int, mu, a: float, b: float, max_panels: int = 1_000_000) -> QuadratureResult:
     """Integrate the derivative kernel over [a, b] inside [0, pi/2].
 
     Over the full range this is (up to a positive prefactor) the
     derivative of the reconstruction integral with respect to a
     continuous coefficient index, taken at center offset mu; its sign
     is cross-checked against exact discrete differences in
-    :func:`sign_accord_sweep`.
+    :func:`sign_accord_sweep`. A sequence of offsets is integrated in one
+    pass on the grid of the largest, with one value per offset.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if not (0.0 <= a < b <= math.pi / 2 + 1e-12):
         raise ValueError(f"limits must satisfy 0 <= a < b <= pi/2, got [{a}, {b}]")
-    frequency = main_degree(n) + abs(mu)
+    frequency = main_degree(n) + float(np.max(np.abs(mu)))
     return integrate_oscillatory(lambda th: integrand(n, mu, th), a, b, frequency, max_panels)
 
 
@@ -570,22 +587,22 @@ def f_sweep_certificates(n_lo: int = 168, n_hi: int = 5000) -> list[BoundCertifi
 _SPLITTER = 134217729.0  # 2**27 + 1
 
 
-def _sin_multiple(k: int, x: float) -> float:
-    """sin(k x) for integer k without the k*x product rounding error.
+def _sin_multiple(k, x: float):
+    """sin(k x) for an integer k, or an array of them, without the k*x rounding error.
 
     Splits x so k times the head is exact in double precision, then
     corrects with the tail through the addition formula. Keeps the
-    closed forms honest at k around 2e4, where a plain product already
-    carries a few 1e-12 of absolute angle error.
+    closed forms and the direct sums honest at k around 2e4, where a
+    plain product already carries a few 1e-12 of absolute angle error.
     """
-    if k > 1 << 25:
-        return math.sin(k * x)
+    if np.max(k) > 1 << 25:
+        return np.sin(k * x)
     t = _SPLITTER * x
     head = t - (t - x)
     tail = x - head
     big = k * head
     small = k * tail
-    return math.sin(big) * math.cos(small) + math.cos(big) * math.sin(small)
+    return np.sin(big) * np.cos(small) + np.cos(big) * np.sin(small)
 
 
 def trig_identity_residual(identity: str, n: int, x: float) -> float:
@@ -603,9 +620,10 @@ def trig_identity_residual(identity: str, n: int, x: float) -> float:
     sx = math.sin(x)
     if abs(sx) < SIN_FLOOR:
         raise NearSingular(f"|sin x| = {abs(sx):.2e} is below the {SIN_FLOOR} floor")
+    ks = np.arange(1, n + 1)
     if identity == "sin2_sum":
         closed = 0.5 * n - _sin_multiple(2 * n + 1, x) / (4.0 * sx) + 0.25
-        direct = math.fsum(math.sin(k * x) ** 2 for k in range(1, n + 1))
+        direct = math.fsum((_sin_multiple(ks, x) ** 2).tolist())
     elif identity == "sin4_sum":
         s2x = math.sin(2.0 * x)
         if abs(s2x) < SIN_FLOOR:
@@ -616,10 +634,10 @@ def trig_identity_residual(identity: str, n: int, x: float) -> float:
             + _sin_multiple(2 * n + 1, 2.0 * x) / (16.0 * s2x)
             + 0.1875
         )
-        direct = math.fsum(math.sin(k * x) ** 4 for k in range(1, n + 1))
+        direct = math.fsum((_sin_multiple(ks, x) ** 4).tolist())
     else:
         raise ValueError(f"unknown identity {identity!r}")
-    return closed - direct
+    return float(closed - direct)
 
 
 def trig_inequality_margin(inequality: str, point) -> float:
@@ -762,28 +780,54 @@ def sweep_inequality_margins(points: int = 10_000) -> list[BoundCertificate]:
 
 
 def i2_ratio_check(n: int, mu: int, max_panels: int = 2_000_000) -> BoundCertificate:
-    """Certify |I2| <= f(n) I1 for one center offset mu.
+    """Certify |I2| <= f(n) I1 for one center offset mu; see :func:`lobe_ratio_certificates`."""
+    return lobe_ratio_certificates(n, [mu], max_panels)[0]
+
+
+def lobe_ratio_certificates(n: int, mus, max_panels: int = 2_000_000) -> list[BoundCertificate]:
+    """Certify |I2| <= f(n) I1 for each center offset in ``mus``, in order.
 
     I1 is the derivative kernel integral over [0, pi/(6n+4)] and I2 the
-    remainder up to pi/2. For n >= 168 the certificate additionally
+    remainder up to pi/2. For n >= 168 each certificate additionally
     checks I1 against :func:`i1_lower_bound`. mu = 0 makes the kernel
     vanish identically; the certificate then passes vacuously with zero
     margins, flagged in the detail payload. Checks at n < 168 or at
     offsets that do not correspond to a coefficient difference are
     performed all the same but flagged as exploratory.
+
+    The cosine product does not depend on mu, so every offset is reduced
+    from one evaluation per grid. The grid resolves frequency
+    degree + max(6n+3, mu): offsets inside the window [1, 6n+3] share
+    one pass over each lobe, an offset beyond it gets a pass of its own,
+    and so each certificate is the same whatever other offsets come
+    with it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if mu < 0:
+    if any(mu < 0 for mu in mus):
         raise ValueError("mu must be >= 0")
     split = math.pi / (6 * n + 4)
+    degree = main_degree(n)
+    by_top: dict[int, list[int]] = {}
+    for mu in sorted({mu for mu in mus if mu > 0}):
+        by_top.setdefault(max(6 * n + 3, mu), []).append(mu)
+    lobes: dict[int, tuple[QuadratureResult, QuadratureResult, int]] = {}
+    for top, group in by_top.items():
+        kernel = partial(integrand, n, group)
+        first = integrate_oscillatory(kernel, 0.0, split, degree + top, max_panels)
+        rest = integrate_oscillatory(kernel, split, math.pi / 2, degree + top, max_panels)
+        lobes.update((mu, (first, rest, row)) for row, mu in enumerate(group))
+    return [_lobe_certificate(n, mu, split, lobes.get(mu)) for mu in mus]
+
+
+def _lobe_certificate(n: int, mu: int, split: float, lobes) -> BoundCertificate:
+    """One offset's certificate from its row of the two lobe integrals (None for mu = 0)."""
     flags = []
     if n < 168:
         flags.append("exploratory_below_168")
-    degree = main_degree(n)
-    if not (0 < mu <= 6 * n + 3) or (degree - mu) % 2 != 0:
+    if not (0 < mu <= 6 * n + 3) or (main_degree(n) - mu) % 2 != 0:
         flags.append("non_coefficient_probe")
-    if mu == 0:
+    if lobes is None:
         return BoundCertificate(
             bound_id="lobe_ratio",
             grid_lo=0.0,
@@ -796,23 +840,24 @@ def i2_ratio_check(n: int, mu: int, max_panels: int = 2_000_000) -> BoundCertifi
             n=n,
             detail={"mu": 0, "vacuous": True, "flags": flags},
         )
-    first = quad_I(n, mu, 0.0, split, max_panels)
-    rest = quad_I(n, mu, split, math.pi / 2, max_panels)
+    first, rest, row = lobes
+    i1, i1_error = float(first.value[row]), float(first.abs_error_estimate[row])
+    i2, i2_error = float(rest.value[row]), float(rest.abs_error_estimate[row])
     factor = f_value(n)
-    margins = [factor * first.value - abs(rest.value)]
-    budgets = [factor * first.abs_error_estimate + rest.abs_error_estimate]
+    margins = [factor * i1 - abs(i2)]
+    budgets = [factor * i1_error + i2_error]
     detail: dict = {
         "mu": mu,
-        "i1": first.value,
-        "i2": rest.value,
+        "i1": i1,
+        "i2": i2,
         "f_n": factor,
         "i1_panels": first.panels,
         "i2_panels": rest.panels,
     }
     if n >= 168:
         floor = i1_lower_bound(n, mu)
-        margins.append(first.value - floor)
-        budgets.append(first.abs_error_estimate)
+        margins.append(i1 - floor)
+        budgets.append(i1_error)
         detail["i1_lower_bound"] = floor
     if flags:
         detail["flags"] = flags
@@ -869,7 +914,8 @@ def sign_accord_sweep(n_max: int = 12, max_panels: int = 1_000_000) -> list[Chec
     """Check the sign of quad_I against exact coefficient differences.
 
     For every valid center offset of every row up to n_max the full
-    range integral is computed; whenever its magnitude clears its own
+    range integral is computed, all offsets of a row in one pass on the
+    grid of its largest offset; whenever its magnitude clears its own
     error estimate and the exact difference a_n(m) - a_n(m-1) is
     nonzero, the two signs are compared. Gated-out and zero-difference
     offsets are counted as skipped, never as evidence.
@@ -887,12 +933,11 @@ def sign_accord_sweep(n_max: int = 12, max_panels: int = 1_000_000) -> list[Chec
         checked = 0
         skipped = 0
         violation = None
-        for mu in range(1, 6 * n + 4):
-            if (degree - mu) % 2:
-                continue
+        mus = list(range(2 - degree % 2, 6 * n + 4, 2))
+        result = quad_I(n, mus, 0.0, math.pi / 2, max_panels)
+        for mu, value, error in zip(mus, result.value, result.abs_error_estimate):
             m = (degree - mu) // 2
-            result = quad_I(n, mu, 0.0, math.pi / 2, max_panels)
-            if abs(result.value) <= result.abs_error_estimate:
+            if abs(value) <= error:
                 skipped += 1
                 continue
             delta = coeff(p, m) - coeff(p, m - 1)
@@ -900,7 +945,7 @@ def sign_accord_sweep(n_max: int = 12, max_panels: int = 1_000_000) -> list[Chec
                 skipped += 1
                 continue
             checked += 1
-            if (result.value > 0) != (delta > 0):
+            if (value > 0) != (delta > 0):
                 violation = m
                 break
         reports.append(

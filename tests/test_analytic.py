@@ -301,6 +301,13 @@ class TestTrigIdentities:
         with pytest.raises(ValueError):
             trig_identity_residual("sin3_sum", 5, 0.3)
 
+    def test_seed_with_small_sines_passes(self):
+        # At this seed the sin^4 sum meets n=9034 with |sin x| near 0.032;
+        # plain k*x products put its residual past the 1e-9 bound.
+        for cert in sweep_identity_residuals(seed=1039885960):
+            assert cert.passed
+            assert cert.detail["max_abs_residual"] < 1e-11
+
     def test_sweep_is_seeded(self):
         a = sweep_identity_residuals(60, seed=7)
         b = sweep_identity_residuals(60, seed=7)

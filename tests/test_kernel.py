@@ -1,0 +1,140 @@
+"""The batched kernel: the cosine product, k-row quadrature, and the lobe certificates.
+
+The cosine product is checked against the integer expansion and against
+a 40-digit product; the k-row quadrature and the vector lobe form are
+checked against their one-row counterparts.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from qunimodal.analytic import cosine_product, i2_ratio_check, lobe_ratio_certificates
+from qunimodal.quadrature import integrate_oscillatory
+
+import oracles
+
+EPS = float(np.finfo(float).eps)
+
+
+@pytest.fixture(autouse=True)
+def _forty_digits():
+    with mpmath.workdps(40):
+        yield
+
+
+def _exact_product(n: int, theta: float):
+    """prod_k cos((3k+1) t) cos((3k+2) t) at the exact binary value t of theta."""
+    t = mpmath.mpf(theta)
+    return mpmath.fprod(mpmath.cos((3 * k + 1) * t) * mpmath.cos((3 * k + 2) * t) for k in range(n + 1))
+
+
+class TestCosineProduct:
+    def test_matches_integer_expansion(self):
+        # P(theta) = 2^-(2n+2) sum_m a_m cos((d - 2m) theta) for the row a of
+        # prod (1 + q^(3k+1)) (1 + q^(3k+2)), evaluated in 40 digits.
+        thetas = np.random.default_rng(20261018).uniform(0.0, math.pi / 2, 12)
+        for n in range(13):
+            row = oracles.naive_product(oracles.main_factors(n))
+            d = len(row) - 1
+            got = cosine_product(n, thetas)
+            for theta, value in zip(thetas, got):
+                t = mpmath.mpf(theta)
+                exact = mpmath.fsum(a * mpmath.cos((d - 2 * m) * t) for m, a in enumerate(row))
+                assert abs(value - float(exact / 2 ** (2 * n + 2))) <= 64 * EPS, (n, theta)
+
+    def test_matches_high_precision_product_at_168(self):
+        n = 168
+        split = math.pi / (6 * n + 4)
+        rng = np.random.default_rng(168)
+        first = rng.uniform(0.0, split, 20)
+        got = cosine_product(n, first)
+        for theta, value in zip(first, got):
+            assert abs(value - float(_exact_product(n, theta))) <= 64 * EPS, theta
+        # Beyond the first lobe |P| stays below 4e-62 and its relative error
+        # is set by the rounding of the arguments (6k+3) theta, up to a few
+        # hundred eps near the peak at pi/6 for any product of rounded
+        # arguments. Hold it to the first-order forward error bound: each
+        # factor cos t + cos((6k+3) t) carries eps (4 + (6k+3) t), each
+        # product one rounding.
+        beyond = np.concatenate([rng.uniform(split, math.pi / 2, 14), rng.uniform(0.5230, 0.5242, 6)])
+        got = cosine_product(n, beyond)
+        for theta, value in zip(beyond, got):
+            t = mpmath.mpf(theta)
+            c1 = mpmath.cos(t)
+            factors = [c1 + mpmath.cos((6 * k + 3) * t) for k in range(n + 1)]
+            exact = mpmath.fprod(factors) / 2 ** (n + 1)
+            bound = EPS * (
+                mpmath.fsum((4 + (6 * k + 3) * theta) * abs(exact / f) for k, f in enumerate(factors))
+                + (n + 1) * abs(exact)
+            )
+            assert abs(value - exact) <= bound, theta
+
+    def test_scalar_angle(self):
+        assert cosine_product(3, 0.0) == 1.0
+        assert cosine_product(3, 0.3) == pytest.approx(float(_exact_product(3, 0.3)), abs=4 * EPS)
+
+
+class TestRowQuadrature:
+    def test_each_row_equals_its_scalar_call(self):
+        # Enough panels for several chunks, so the rows are summed across
+        # chunk boundaries that differ from the one-row call's.
+        rates = (1.0, 7.0, 40.0)
+        result = integrate_oscillatory(
+            lambda x: np.sin(np.multiply.outer(rates, x)) * np.exp(-x), 0.0, 3.0, frequency=5000.0
+        )
+        assert result.panels > 4096
+        assert result.value.shape == result.abs_error_estimate.shape == (3,)
+        for row, rate in enumerate(rates):
+            single = integrate_oscillatory(lambda x: np.sin(rate * x) * np.exp(-x), 0.0, 3.0, frequency=5000.0)
+            assert isinstance(single.value, float)
+            assert single.panels == result.panels
+            assert result.value[row] == single.value
+            assert result.abs_error_estimate[row] == single.abs_error_estimate
+            exact = (rate - math.exp(-3.0) * (math.sin(3.0 * rate) + rate * math.cos(3.0 * rate))) / (1.0 + rate ** 2)
+            assert abs(result.value[row] - exact) <= result.abs_error_estimate[row]
+
+
+class TestLobeCertificates:
+    def test_vector_form_matches_single_offsets(self):
+        n = 24
+        window = 6 * n + 3
+        mus = [0, 5, 61, window, window + 20, 5]
+        certificates = lobe_ratio_certificates(n, mus)
+        assert [c.detail["mu"] for c in certificates] == mus
+        for mu, cert in zip(mus, certificates):
+            single = i2_ratio_check(n, mu)
+            assert cert.passed == single.passed
+            assert cert.grid_points == single.grid_points
+            assert cert.detail.get("flags") == single.detail.get("flags")
+            for key in ("i1_panels", "i2_panels"):
+                assert cert.detail.get(key) == single.detail.get(key)
+            for a, b in (
+                (cert.min_margin, single.min_margin),
+                (cert.error_budget, single.error_budget),
+                (cert.detail.get("i1", 0.0), single.detail.get("i1", 0.0)),
+                (cert.detail.get("i2", 0.0), single.detail.get("i2", 0.0)),
+            ):
+                assert abs(a - b) <= 1e-15 * abs(b)
+        vacuous, probe = certificates[0], certificates[4]
+        assert vacuous.detail["vacuous"] and vacuous.grid_points == 0
+        assert "non_coefficient_probe" in probe.detail["flags"]
+        # the probe beyond the window gets a finer grid of its own
+        assert probe.detail["i2_panels"] > certificates[1].detail["i2_panels"]
+
+    def test_lobes_sum_to_exact_integral(self):
+        n = 10
+        row = oracles.naive_product(oracles.main_factors(n))
+        mus = [mu for mu in range(1, 6 * n + 4) if (len(row) - 1 - mu) % 2 == 0]
+        for mu, cert in zip(mus, lobe_ratio_certificates(n, mus)):
+            exact = math.pi * float(oracles.theta_kernel_over_pi(row, mu))
+            assert abs(cert.detail["i1"] + cert.detail["i2"] - exact) <= 2 * cert.error_budget + 8 * EPS * abs(exact)
+
+    def test_domain(self):
+        assert lobe_ratio_certificates(5, []) == []
+        with pytest.raises(ValueError):
+            lobe_ratio_certificates(0, [1])
+        with pytest.raises(ValueError):
+            lobe_ratio_certificates(5, [3, -1])
