@@ -2,26 +2,26 @@
 Sweep whole families through the structural checks
 ===================================================
 
-Three sweeps: the main family through n = 60 as one row stream, the
-signed product through n = 30, and the quotient family at r = 3. Each
-row is one line; nothing here should ever fail.
+Three sweeps: the main family through n = 60, the signed product through
+n = 30, and the quotient family at r = 3 and 4. Each family is one row
+stream (``family_rows``); nothing here should ever fail.
 """
 
 import time
 
 from qunimodal import (
     ProductSpec,
-    build_product,
     check_sign_pattern,
     check_symmetric,
     check_unimodal,
+    family_rows,
     main_rows,
     replay_induction,
 )
 
 t0 = time.time()
 rows = []
-for n, p in enumerate(main_rows(60)):
+for n, p in family_rows(ProductSpec.main(60)):
     sym = check_symmetric(p).passed
     uni = check_unimodal(p)
     rows.append((n, p.degree, sym, uni.passed, uni.mode_lo, uni.mode_hi))
@@ -43,9 +43,7 @@ print()
 
 for r in (3, 4):
     worst = None
-    for n in range(11, 31):
-        q = build_product(ProductSpec.almkvist(r, n))
-        uni = check_unimodal(q)
-        if not uni.passed:
+    for n, q in family_rows(ProductSpec.almkvist(r, 30)):
+        if n >= 11 and not check_unimodal(q).passed:
             worst = n
     print(f"quotient family r={r}: unimodal for 11 <= n <= 30: {worst is None}")

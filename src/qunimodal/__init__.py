@@ -33,6 +33,7 @@ from .polynomials import (
     dump_lines,
     evaluate_at_minus_one,
     evaluate_at_one,
+    family_rows,
     main_degree,
     main_rows,
     mul_binomial,
@@ -58,6 +59,7 @@ from .analytic import (
     cosine_product,
     e_exponent,
     envelope_exponent_grid,
+    envelope_grid,
     f_log,
     f_log_derivative,
     f_sweep_certificates,
@@ -108,6 +110,7 @@ __all__ = [
     "dump_lines",
     "e_exponent",
     "envelope_exponent_grid",
+    "envelope_grid",
     "evaluate_at_minus_one",
     "evaluate_at_one",
     "f_log",
@@ -121,6 +124,7 @@ __all__ = [
     "integrand",
     "lobe_ratio_certificates",
     "integrate_oscillatory",
+    "family_rows",
     "main_degree",
     "main_rows",
     "mu_of",

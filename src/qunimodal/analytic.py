@@ -44,6 +44,7 @@ __all__ = [
     "cosine_product",
     "e_exponent",
     "envelope_exponent_grid",
+    "envelope_grid",
     "f_log",
     "f_log_derivative",
     "f_sweep_certificates",
@@ -99,10 +100,13 @@ GAMMA_THREE_HALVES = math.sqrt(math.pi) / 2.0
 GAMMA_TAIL_CEILING = 1.29e-30
 
 SIN_FLOOR = 1e-3
+# Envelope grid points with a sine denominator closer to zero than this are moved.
+ENVELOPE_SINGULAR_TOL = 1e-12
 
 IDENTITY_IDS = ("sin2_sum", "sin4_sum")
 INEQUALITY_IDS = ("sin_lb_24", "cos_lb_25", "sin_sandwich_26", "cos_ub_27", "ratio_27_1")
 IDENTITY_RESIDUAL_TOL = 1e-9
+IDENTITY_N_CAP = 10_000
 INEQUALITY_SLACK = 1e-12
 
 
@@ -206,28 +210,26 @@ def quad_I(n: int, mu, a: float, b: float, max_panels: int = 1_000_000) -> Quadr
 _RECONSTRUCTION_MAX_N = 12
 
 
-def _reconstruction_guard(n: int, max_n: int) -> None:
-    if n > max_n:
+def _reconstruction_guard(n: int) -> None:
+    if n > _RECONSTRUCTION_MAX_N:
         raise GridTooCoarse(
-            f"coefficient reconstruction above n={max_n} exceeds the double "
+            f"coefficient reconstruction above n={_RECONSTRUCTION_MAX_N} exceeds the double "
             f"precision budget (prefactor 2**{2 * n + 3})"
         )
 
 
-def coeff_by_integral(
-    n: int, m: int, max_n: int = _RECONSTRUCTION_MAX_N, max_panels: int = 1_000_000
-) -> float:
+def coeff_by_integral(n: int, m: int, max_panels: int = 1_000_000) -> float:
     """Reconstruct one exact coefficient from the cosine product integral.
 
     The prefactor 2**(2n+3) amplifies quadrature and rounding noise, so
-    reconstruction is only honest at small n; anything above ``max_n``
+    reconstruction is only honest at small n; anything above n = 12
     raises :class:`GridTooCoarse` rather than returning digits that
     double precision cannot back.
     """
     d = main_degree(n)
     if not 0 <= m <= d:
         raise ValueError(f"m must lie in [0, {d}], got {m}")
-    _reconstruction_guard(n, max_n)
+    _reconstruction_guard(n)
     mu = d - 2 * m
     result = integrate_oscillatory(
         lambda th: np.cos(mu * th) * cosine_product(n, th),
@@ -311,27 +313,13 @@ def envelope_exponent_grid(n: int, thetas: np.ndarray) -> tuple[np.ndarray, np.n
     return values, errors
 
 
-def certify_E_bound(
-    n: int,
-    grid_points: int = 20000,
-    *,
-    slope: float = ENVELOPE_SLOPE,
-    intercept: float = ENVELOPE_INTERCEPT,
-    singular_tol: float = 1e-12,
-) -> BoundCertificate:
-    """Certify e_exponent <= -slope*n - intercept on [pi/(6n+4), pi/2].
+def envelope_grid(n: int, grid_points: int) -> np.ndarray:
+    """The envelope certificate's grid on [pi/(6n+4), pi/2], clear of sine zeros.
 
-    Grid points whose sine denominators come within ``singular_tol`` of
-    zero are nudged by half a grid step before evaluation (in practice
-    this only fires at theta = pi/2, where sin(2 theta) is a rounding
-    error away from zero). The two constituent ranges are additionally
-    certified against their own sharper constants and reported under
-    ``detail["branches"]``; the headline margin is the overall bound's.
+    Points where a sine denominator comes within 1e-12 of zero are moved
+    half a grid step inward (in practice this only fires at theta = pi/2,
+    where sin(2 theta) is a rounding error away from zero).
     """
-    if n < 168:
-        raise ValueError("the envelope bound is claimed for n >= 168 only")
-    if grid_points < 1000:
-        raise ValueError("certification needs at least 1000 grid points")
     lo = math.pi / (6 * n + 4)
     hi = math.pi / 2
     thetas = np.linspace(lo, hi, grid_points)
@@ -339,49 +327,64 @@ def certify_E_bound(
     for _ in range(3):
         near = np.zeros(grid_points, dtype=bool)
         for mult in (1.0, 2.0, 3.0, 6.0):
-            near |= np.abs(np.sin(mult * thetas)) < singular_tol
+            near |= np.abs(np.sin(mult * thetas)) < ENVELOPE_SINGULAR_TOL
         if not near.any():
-            break
+            return thetas
         shift = np.where(thetas + step / 2 <= hi, step / 2, -step / 2)
         thetas = np.where(near, thetas + shift, thetas)
-    else:
-        raise SingularPoint("grid perturbation failed to clear the sine zeros")
-    values, errors = envelope_exponent_grid(n, thetas)
-    margins = (-slope * n - intercept) - values
+    raise SingularPoint("grid perturbation failed to clear the sine zeros")
+
+
+def _worst_margin(bound: float, values, errors, thetas) -> dict:
+    """Smallest margin of ``values <= bound`` on a grid, its argmin, and the error budget."""
+    margins = bound - values
     worst = int(np.argmin(margins))
-    budget = float(errors.max())
-    passed = bool(margins[worst] > budget)
+    return {"min_margin": float(margins[worst]), "argmin": float(thetas[worst]),
+            "error_budget": float(errors.max())}
+
+
+def certify_E_bound(
+    n: int,
+    grid_points: int = 20000,
+    *,
+    slope: float = ENVELOPE_SLOPE,
+    intercept: float = ENVELOPE_INTERCEPT,
+) -> BoundCertificate:
+    """Certify e_exponent <= -slope*n - intercept on :func:`envelope_grid`.
+
+    The two constituent ranges are additionally certified against their
+    own sharper constants and reported under ``detail["branches"]``; the
+    headline margin is the overall bound's.
+    """
+    if n < 168:
+        raise ValueError("the envelope bound is claimed for n >= 168 only")
+    if grid_points < 1000:
+        raise ValueError("certification needs at least 1000 grid points")
+    thetas = envelope_grid(n, grid_points)
+    values, errors = envelope_exponent_grid(n, thetas)
+    headline = _worst_margin(-slope * n - intercept, values, errors, thetas)
     branches: dict = {}
     low_mask = thetas <= math.pi / 6
     for name, mask, branch_slope, branch_intercept in (
         ("theta_le_pi_over_6", low_mask, ENVELOPE_SLOPE, BRANCH_LOW_INTERCEPT),
         ("theta_gt_pi_over_6", ~low_mask, BRANCH_HIGH_SLOPE, ENVELOPE_INTERCEPT),
     ):
-        sub_margins = (-branch_slope * n - branch_intercept) - values[mask]
-        sub_errors = errors[mask]
-        sub_thetas = thetas[mask]
-        idx = int(np.argmin(sub_margins))
-        sub_budget = float(sub_errors.max())
+        bound = -branch_slope * n - branch_intercept
         branches[name] = {
             "slope": branch_slope,
             "intercept": branch_intercept,
-            "min_margin": float(sub_margins[idx]),
-            "argmin": float(sub_thetas[idx]),
-            "error_budget": sub_budget,
             "points": int(mask.sum()),
+            **_worst_margin(bound, values[mask], errors[mask], thetas[mask]),
         }
-        passed = passed and bool(sub_margins[idx] > sub_budget)
     return BoundCertificate(
         bound_id="envelope_exponent",
-        grid_lo=lo,
-        grid_hi=hi,
+        grid_lo=math.pi / (6 * n + 4),
+        grid_hi=math.pi / 2,
         grid_points=grid_points,
-        min_margin=float(margins[worst]),
-        argmin=float(thetas[worst]),
-        error_budget=budget,
-        passed=passed,
+        passed=all(w["min_margin"] > w["error_budget"] for w in (headline, *branches.values())),
         n=n,
         detail={"slope": slope, "intercept": intercept, "branches": branches},
+        **headline,
     )
 
 
@@ -640,6 +643,26 @@ def trig_identity_residual(identity: str, n: int, x: float) -> float:
     return float(closed - direct)
 
 
+def _ratio_27_1(n, x):
+    return n - np.abs(np.sin(n * x) / np.sin(x))
+
+
+# Margin formula of each one-variable inequality, the closed domain it is
+# claimed on, and the range its sweep covers.
+_INEQUALITIES = {
+    "sin_lb_24": (lambda x: np.sin(x) - x * np.exp(-x * x / 3.0), (0.0, 2.0), (0.0, 2.0)),
+    "cos_lb_25": (lambda x: np.cos(x) - np.exp(-COS_GAUSSIAN_RATE * x * x), (-1.0, 1.0), (-1.0, 1.0)),
+    "sin_sandwich_26": (
+        lambda x: np.minimum(np.sin(x) - (x - x ** 3 / 6.0), x - np.sin(x)),
+        (0.0, math.inf), (0.0, 4.0 * math.pi),
+    ),
+    "cos_ub_27": (
+        lambda x: np.exp(-0.5 * np.sin(x) ** 2 - 0.25 * np.sin(x) ** 4) - np.abs(np.cos(x)),
+        (-math.inf, math.inf), (0.0, 4.0 * math.pi),
+    ),
+}
+
+
 def trig_inequality_margin(inequality: str, point) -> float:
     """Slack of one pointwise inequality; negative means violated.
 
@@ -649,45 +672,31 @@ def trig_inequality_margin(inequality: str, point) -> float:
     cos_ub_27        |cos x| <= exp(-s^2/2 - s^4/4)      s = sin x, any x
     ratio_27_1       |sin(n x)| <= n |sin x|             point = (n, x)
 
-    Out-of-domain arguments raise :class:`DomainViolation`.
+    Scalar form of the formulas :func:`sweep_inequality_margins` evaluates
+    on its grids. Out-of-domain arguments raise :class:`DomainViolation`.
     """
     if inequality == "ratio_27_1":
-        n, x = point
-        n = int(n)
+        n, x = int(point[0]), np.float64(point[1])
         if n < 1:
             raise ValueError("n must be >= 1")
-        sx = math.sin(x)
-        if sx == 0.0:
+        if np.sin(x) == 0.0:
             raise DomainViolation("sin x vanishes, the ratio bound needs sin x != 0")
-        return n - abs(math.sin(n * x) / sx)
-    x = float(point)
-    if inequality == "sin_lb_24":
-        if not 0.0 <= x <= 2.0:
-            raise DomainViolation(f"x={x} outside [0, 2]")
-        return math.sin(x) - x * math.exp(-x * x / 3.0)
-    if inequality == "cos_lb_25":
-        if not -1.0 <= x <= 1.0:
-            raise DomainViolation(f"x={x} outside [-1, 1]")
-        return math.cos(x) - math.exp(-COS_GAUSSIAN_RATE * x * x)
-    if inequality == "sin_sandwich_26":
-        if x < 0.0:
-            raise DomainViolation(f"x={x} is negative")
-        sx = math.sin(x)
-        return min(sx - (x - x ** 3 / 6.0), x - sx)
-    if inequality == "cos_ub_27":
-        s = math.sin(x)
-        return math.exp(-0.5 * s * s - 0.25 * s ** 4) - abs(math.cos(x))
-    raise ValueError(f"unknown inequality {inequality!r}")
+        return float(_ratio_27_1(n, x))
+    if inequality not in _INEQUALITIES:
+        raise ValueError(f"unknown inequality {inequality!r}")
+    formula, (lo, hi), _ = _INEQUALITIES[inequality]
+    x = np.float64(point)
+    if not lo <= x <= hi:
+        raise DomainViolation(f"x={float(x)} outside [{lo}, {hi}]")
+    return float(formula(x))
 
 
-def sweep_identity_residuals(
-    samples: int = 1000, seed: int = 20260822, n_cap: int = 10_000
-) -> list[BoundCertificate]:
+def sweep_identity_residuals(samples: int = 1000, seed: int = 20260822) -> list[BoundCertificate]:
     """Random (n, x) sweep of both identities against the 1e-9 residual bound.
 
     Sampling is seeded rather than adversarial: x is uniform on
     [1e-3, pi - 1e-3] with redraws below the sine floor, n uniform on
-    [1, n_cap].
+    [1, 10000].
     """
     rng = np.random.default_rng(seed)
     certificates = []
@@ -696,7 +705,7 @@ def sweep_identity_residuals(
         worst_x = 0.0
         drawn = 0
         while drawn < samples:
-            n = int(rng.integers(1, n_cap + 1))
+            n = int(rng.integers(1, IDENTITY_N_CAP + 1))
             x = float(rng.uniform(1e-3, math.pi - 1e-3))
             if abs(math.sin(x)) < SIN_FLOOR:
                 continue
@@ -717,7 +726,7 @@ def sweep_identity_residuals(
                 argmin=worst_x,
                 error_budget=0.0,
                 passed=bool(worst < IDENTITY_RESIDUAL_TOL),
-                detail={"max_abs_residual": worst, "seed": seed, "n_cap": n_cap},
+                detail={"max_abs_residual": worst, "seed": seed, "n_cap": IDENTITY_N_CAP},
             )
         )
     return certificates
@@ -735,28 +744,14 @@ def sweep_inequality_margins(points: int = 10_000) -> list[BoundCertificate]:
         raise ValueError("need at least 10 grid points")
     certificates = []
     for inequality in INEQUALITY_IDS:
-        if inequality == "sin_lb_24":
-            xs = np.linspace(0.0, 2.0, points)
-            margins = np.sin(xs) - xs * np.exp(-xs * xs / 3.0)
-        elif inequality == "cos_lb_25":
-            xs = np.linspace(-1.0, 1.0, points)
-            margins = np.cos(xs) - np.exp(-COS_GAUSSIAN_RATE * xs * xs)
-        elif inequality == "sin_sandwich_26":
-            xs = np.linspace(0.0, 4.0 * math.pi, points)
-            s = np.sin(xs)
-            margins = np.minimum(s - (xs - xs ** 3 / 6.0), xs - s)
-        elif inequality == "cos_ub_27":
-            xs = np.linspace(0.0, 4.0 * math.pi, points)
-            s = np.sin(xs)
-            margins = np.exp(-0.5 * s * s - 0.25 * s ** 4) - np.abs(np.cos(xs))
-        else:  # ratio_27_1: small n sweep, x clear of the sine zeros
-            per_n = max(2, points // 10)
-            base = np.linspace(1.2e-3, math.pi - 1.2e-3, per_n)
-            blocks = []
-            for n in range(2, 12):
-                blocks.append(n - np.abs(np.sin(n * base) / np.sin(base)))
-            margins = np.concatenate(blocks)
+        if inequality == "ratio_27_1":  # small n sweep, x clear of the sine zeros
+            base = np.linspace(1.2e-3, math.pi - 1.2e-3, max(2, points // 10))
+            margins = np.concatenate([_ratio_27_1(n, base) for n in range(2, 12)])
             xs = np.tile(base, 10)
+        else:
+            formula, _, sweep_range = _INEQUALITIES[inequality]
+            xs = np.linspace(*sweep_range, points)
+            margins = formula(xs)
         idx = int(np.argmin(margins))
         raw = float(margins[idx])
         certificates.append(
@@ -885,7 +880,7 @@ def reconstruction_sweep(n_max: int = 8, max_panels: int = 1_000_000) -> list[Ch
     stops at n = 12: a larger ``n_max`` raises :class:`GridTooCoarse`
     before any quadrature runs.
     """
-    _reconstruction_guard(n_max, _RECONSTRUCTION_MAX_N)
+    _reconstruction_guard(n_max)
     reports = []
     for n, p in enumerate(main_rows(n_max)):
         worst = -1.0

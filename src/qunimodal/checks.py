@@ -78,6 +78,14 @@ def _first_rise_after_fall(cs: Sequence[int], offset: int) -> int | None:
     return None
 
 
+def _first_descent(cs: Sequence[int], lo: int, hi: int) -> int | None:
+    """First m in [lo, hi] with cs[m] < cs[m-1], or None if there is none."""
+    for m in range(lo, hi + 1):
+        if cs[m] < cs[m - 1]:
+            return m
+    return None
+
+
 def _mode_plateau(cs: Sequence[int], offset: int) -> tuple[int, int]:
     peak = max(cs)
     lo = cs.index(peak)
@@ -120,10 +128,9 @@ def check_lemma_range(n: int, p: Polynomial) -> CheckReport:
         )
     lo = (3 * n * n + 1) // 2
     hi = 3 * (n + 1) ** 2 // 2
-    cs = p.coeffs
-    for m in range(lo, hi + 1):
-        if cs[m] < cs[m - 1]:
-            return CheckReport("lemma_range", False, first_violation=m, n=n)
+    m = _first_descent(p.coeffs, lo, hi)
+    if m is not None:
+        return CheckReport("lemma_range", False, first_violation=m, n=n)
     return CheckReport("lemma_range", True, n=n, details=f"window=[{lo},{hi}]")
 
 
@@ -149,14 +156,12 @@ def replay_induction(n_max: int) -> CheckReport:
                 "induction", False, first_violation=sym.first_violation, n=n,
                 details=f"symmetry broke at n={n}",
             )
-        cs = p.coeffs
-        carried = 3 * n * n // 2
-        for m in range(1, carried + 1):
-            if cs[m] < cs[m - 1]:
-                return CheckReport(
-                    "induction", False, first_violation=m, n=n,
-                    details=f"carried monotonicity broke at n={n}, m={m}",
-                )
+        m = _first_descent(p.coeffs, 1, 3 * n * n // 2)
+        if m is not None:
+            return CheckReport(
+                "induction", False, first_violation=m, n=n,
+                details=f"carried monotonicity broke at n={n}, m={m}",
+            )
         window = check_lemma_range(n, p)
         if not window.passed:
             return CheckReport(

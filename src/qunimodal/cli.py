@@ -28,13 +28,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-
-import numpy as np
 
 from . import __version__
 from .analytic import (
@@ -43,6 +40,7 @@ from .analytic import (
     BoundCertificate,
     certify_E_bound,
     envelope_exponent_grid,
+    envelope_grid,
     f_sweep_certificates,
     f_value,
     gamma_tail_certificates,
@@ -61,7 +59,7 @@ from .checks import (
     replay_induction,
 )
 from .errors import GridTooCoarse, NearSingular, SingularPoint
-from .polynomials import ProductSpec, build_product, dump_lines, main_rows, product_rows
+from .polynomials import ProductSpec, build_product, dump_lines, family_rows, main_rows
 
 # Unused here, but bench/tracing.py wraps these names in this module; keep them bound.
 from .analytic import i2_ratio_check  # noqa: F401
@@ -117,6 +115,8 @@ class RunConfig:
         wants_quotient = self.command in ("expand", "verify", "almkvist") and self.family == "almkvist"
         if wants_quotient and (self.r is None or self.r < 2):
             raise ValueError("the quotient family needs --r >= 2")
+        if wants_quotient and self.command != "expand" and self.n_max < 1:
+            raise ValueError("the quotient family starts at n = 1; need --n-max >= 1")
         if self.command == "expand":
             if self.family in ("main", "odd", "almkvist") and (self.n is None or self.n < 0):
                 raise ValueError(f"expand --family {self.family} needs --n >= 0")
@@ -213,20 +213,20 @@ def _sink(path: str):
             yield fh
 
 
-def _product_spec(config: RunConfig) -> ProductSpec:
+def _product_spec(config: RunConfig, n: int) -> ProductSpec:
     if config.family == "main":
-        return ProductSpec.main(config.n)
+        return ProductSpec.main(n)
+    if config.family == "odd":
+        return ProductSpec.odd(n)
+    if config.family == "almkvist":
+        return ProductSpec.almkvist(config.r, n)
     if config.family == "general":
         return ProductSpec.general(config.factors)
-    if config.family == "almkvist":
-        return ProductSpec.almkvist(config.r, config.n)
-    if config.family == "odd":
-        return ProductSpec.general(tuple((1, 2 * k - 1) for k in range(1, config.n + 1)))
     raise ValueError(f"unknown family {config.family!r}")
 
 
 def _cmd_expand(config: RunConfig):
-    p = build_product(_product_spec(config))
+    p = build_product(_product_spec(config, config.n))
     with _sink(config.out) as fh:
         for line in dump_lines(p):
             fh.write(line + "\n")
@@ -235,37 +235,18 @@ def _cmd_expand(config: RunConfig):
 
 def _cmd_verify(config: RunConfig):
     reports = []
-
-    def run_checks(n, p):
-        sym = check_symmetric(p)
-        sym.n = n
-        uni = check_unimodal(p) if config.a is None else check_almost_unimodal(p, config.a)
-        uni.n = n
-        reports.extend((sym, uni))
-
-    if config.family in ("main", "odd"):
-        if config.family == "main":
-            rows = main_rows(config.n_max)
-        else:
-            rows = product_rows([(1, 2 * k - 1)] if k else [] for k in range(config.n_max + 1))
-        for n, p in enumerate(rows):
-            if n >= config.n_min:
-                run_checks(n, p)
-    elif config.family == "almkvist":
-        for n in range(max(config.n_min, 1), config.n_max + 1):
-            run_checks(n, build_product(ProductSpec.almkvist(config.r, n)))
-    else:
-        run_checks(None, build_product(ProductSpec.general(config.factors)))
+    for n, p in family_rows(_product_spec(config, config.n_max)):
+        if n is None or n >= config.n_min:
+            sym = check_symmetric(p)
+            uni = check_unimodal(p) if config.a is None else check_almost_unimodal(p, config.a)
+            sym.n = uni.n = n
+            reports.extend((sym, uni))
     return reports
 
 
 def _cmd_lemma(config: RunConfig):
-    reports = []
     start = max(config.n_min, 1)
-    for n, p in enumerate(main_rows(config.n_max)):
-        if n >= start:
-            reports.append(check_lemma_range(n, p))
-    return reports
+    return [check_lemma_range(n, p) for n, p in enumerate(main_rows(config.n_max)) if n >= start]
 
 
 def _cmd_induction(config: RunConfig):
@@ -283,8 +264,7 @@ def _cmd_borwein(config: RunConfig):
 
 
 def _write_envelope_csv(n: int, grid_points: int, path: str) -> None:
-    lo = math.pi / (6 * n + 4)
-    thetas = np.linspace(lo, math.pi / 2, grid_points)
+    thetas = envelope_grid(n, grid_points)
     values, _ = envelope_exponent_grid(n, thetas)
     bound = -ENVELOPE_SLOPE * n - ENVELOPE_INTERCEPT
     with _sink(path) as fh:

@@ -5,19 +5,17 @@ integers: a polynomial is a dense coefficient tuple, and products of
 binomial factors (1 +- q**a) are accumulated one factor at a time with
 a single backwards pass each. Nothing in this module is numerical.
 
-Three product families are supported:
+:func:`family_rows` streams the rows of each product family, and
+:func:`build_product` is its last row:
 
 * ``main``: prod_{k=0}^{n} (1 + q**(3k+1)) (1 + q**(3k+2)), degree
-  3 (n+1)**2. :func:`main_rows` streams rows 0..n_max of this family
-  (or of its signed variant) one after another, and
-  :func:`recurrence_step` states the paper's recurrence between rows.
+  3 (n+1)**2, through :func:`main_rows` (which also streams the signed
+  variant). :func:`recurrence_step` states the paper's row recurrence.
+* ``odd``: prod_{k=1}^{n} (1 + q**(2k-1)).
+* ``almkvist``: prod_{k=1}^{n} (1 - q**(rk)) / (1 - q**k). Row n is row
+  n-1 times (1 - q**(rn)), then one exact division by (1 - q**n);
+  a remainder raises :class:`AlmkvistDivisionInexact`.
 * ``general``: an explicit list of (sign, exponent) binomial factors.
-* ``almkvist``: prod_{k=1}^{n} (1 - q**(rk)) / (1 - q**k), computed by
-  exact long division. Divisibility is checked at every step, never
-  assumed; a failure raises :class:`AlmkvistDivisionInexact`.
-
-Every product is grown by :func:`product_rows`, which yields the running
-product after each group of factors.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ __all__ = [
     "dump_lines",
     "evaluate_at_minus_one",
     "evaluate_at_one",
+    "family_rows",
     "main_degree",
     "main_rows",
     "mul_binomial",
@@ -113,6 +112,12 @@ class ProductSpec:
         return cls(family="main", n=n)
 
     @classmethod
+    def odd(cls, n: int) -> "ProductSpec":
+        if n < 0:
+            raise ValueError("odd family needs n >= 0")
+        return cls(family="odd", n=n)
+
+    @classmethod
     def general(cls, factors: Sequence[tuple[int, int]]) -> "ProductSpec":
         checked = []
         for sign, exponent in factors:
@@ -188,23 +193,34 @@ def main_rows(n_max: int, sign: int = 1) -> Iterator[Polynomial]:
     return product_rows(((sign, 3 * k + 1), (sign, 3 * k + 2)) for k in range(n_max + 1))
 
 
-def build_product(spec: ProductSpec) -> Polynomial:
-    """Expand the product described by ``spec`` into dense coefficients."""
-    if spec.family == "almkvist":
-        (numerator,) = product_rows([[(-1, spec.r * k) for k in range(1, spec.n + 1)]])
-        quotient = numerator
-        for k in range(1, spec.n + 1):
-            quotient = divide_exact(quotient, Polynomial([1] + [0] * (k - 1) + [-1]))
-        assert quotient.degree == (spec.r - 1) * spec.n * (spec.n + 1) // 2
-        return quotient
+def family_rows(spec: ProductSpec) -> Iterator[tuple[int | None, Polynomial]]:
+    """Yield (n, row) for each row of the family ``spec`` names, up to ``spec.n``.
+
+    ``main`` and ``odd`` start at n = 0 and ``almkvist`` at n = 1; a
+    ``general`` product is one row, tagged n = None.
+    """
     if spec.family == "main":
-        factors = [(1, e) for k in range(spec.n + 1) for e in (3 * k + 1, 3 * k + 2)]
+        yield from enumerate(main_rows(spec.n))
+    elif spec.family == "odd":
+        yield from enumerate(product_rows([(1, 2 * k - 1)] if k else [] for k in range(spec.n + 1)))
+    elif spec.family == "almkvist":
+        p = Polynomial([1])
+        for n in range(1, spec.n + 1):
+            p = divide_exact(mul_binomial(p, -1, spec.r * n), Polynomial([1] + [0] * (n - 1) + [-1]))
+            yield n, p
     elif spec.family == "general":
-        factors = spec.factors
+        (p,) = product_rows([spec.factors])
+        yield None, p
     else:
         raise ValueError(f"unknown product family {spec.family!r}")
-    (p,) = product_rows([factors])
+
+
+def build_product(spec: ProductSpec) -> Polynomial:
+    """Expand the product described by ``spec``: the last row of :func:`family_rows`."""
+    for _, p in family_rows(spec):
+        pass
     assert spec.family != "main" or p.degree == main_degree(spec.n)
+    assert spec.family != "almkvist" or p.degree == (spec.r - 1) * spec.n * (spec.n + 1) // 2
     return p
 
 

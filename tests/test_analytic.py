@@ -16,6 +16,7 @@ from qunimodal.analytic import (
     coeff_by_integral,
     e_exponent,
     envelope_exponent_grid,
+    envelope_grid,
     f_log,
     f_log_derivative,
     f_sweep_certificates,
@@ -411,3 +412,55 @@ class TestSignAccord:
                 exact = math.pi * float(oracles.theta_kernel_over_pi(row, mu))
                 result = quad_I(n, mu, 0.0, math.pi / 2)
                 assert abs(result.value - exact) <= result.abs_error_estimate
+
+
+class TestOneFormulaPerInequality:
+    @pytest.mark.parametrize("points", [97, 500])
+    def test_scalar_form_reproduces_every_sweep_certificate(self, points):
+        # Rebuild each sweep grid from its certificate and evaluate the scalar
+        # form at every point: its minimum and argmin must be the sweep's own.
+        for cert in sweep_inequality_margins(points):
+            inequality = cert.bound_id.removeprefix("inequality_margin_")
+            if inequality == "ratio_27_1":
+                xs = np.linspace(cert.grid_lo, cert.grid_hi, cert.grid_points // 10)
+                grid = [(n, x) for n in range(2, 12) for x in xs]
+                xs_of = [x for _, x in grid]
+            else:
+                grid = xs_of = np.linspace(cert.grid_lo, cert.grid_hi, cert.grid_points)
+            margins = [trig_inequality_margin(inequality, point) for point in grid]
+            worst = int(np.argmin(margins))
+            assert margins[worst] == cert.detail["raw_min_margin"], inequality
+            assert xs_of[worst] == cert.argmin, inequality
+
+    def test_unknown_inequality(self):
+        with pytest.raises(ValueError):
+            trig_inequality_margin("tan_lb_99", 0.5)
+
+    def test_domain_edges_are_inside(self):
+        assert trig_inequality_margin("sin_lb_24", 2.0) > 0.0
+        assert trig_inequality_margin("cos_lb_25", -1.0) == trig_inequality_margin("cos_lb_25", 1.0)
+
+
+class TestEnvelopeGrid:
+    def test_grid_clears_the_sine_zeros(self):
+        thetas = envelope_grid(168, 1000)
+        assert len(thetas) == 1000
+        assert thetas[0] == math.pi / (6 * 168 + 4)
+        for k in (1, 2, 3, 6):
+            assert np.abs(np.sin(k * thetas)).min() >= 1e-12
+        # only pi/2 itself sits on a zero of sin(2 theta); it moves half a step in
+        step = (math.pi / 2 - thetas[0]) / 999
+        assert thetas[-1] == pytest.approx(math.pi / 2 - step / 2, rel=1e-15)
+        assert np.array_equal(thetas[:-1], np.linspace(thetas[0], math.pi / 2, 1000)[:-1])
+
+    def test_certificate_uses_the_grid(self):
+        cert = certify_E_bound(168, 1000)
+        thetas = envelope_grid(168, 1000)
+        values, _ = envelope_exponent_grid(168, thetas)
+        bound = -cert.detail["slope"] * 168 - cert.detail["intercept"]
+        assert cert.min_margin == float(np.min(bound - values))
+        assert cert.argmin == float(thetas[np.argmin(bound - values)])
+
+    def test_identity_sweep_reports_its_n_cap(self):
+        for cert in sweep_identity_residuals(5, seed=3):
+            assert cert.detail["n_cap"] == 10_000

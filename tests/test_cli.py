@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes and report shape."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -252,3 +253,28 @@ class TestProcessEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"]
+
+
+class TestFamilyStream:
+    def test_envelope_csv_avoids_the_sine_zero(self, tmp_path, capsys):
+        plot = tmp_path / "envelope.csv"
+        code, _ = run_report(
+            ["certify", "--n", "168", "--grid-points", "1000", "--plot-csv", str(plot)], tmp_path, capsys
+        )
+        assert code == 0
+        thetas = [float(line.split(",")[0]) for line in plot.read_text().splitlines()[1:]]
+        assert len(thetas) == 1000
+        assert min(abs(math.sin(2.0 * t)) for t in thetas) >= 1e-12
+
+    @pytest.mark.parametrize("family,extra", [("odd", []), ("almkvist", ["--r", "3"])])
+    def test_verify_sweeps_tag_each_row(self, family, extra, tmp_path, capsys):
+        code, report = run_report(
+            ["verify", "--family", family, "--n-min", "2", "--n-max", "6", *extra], tmp_path, capsys
+        )
+        assert code in (0, 1)
+        assert [r["n"] for r in report["results"]] == [n for n in range(2, 7) for _ in range(2)]
+
+    def test_quotient_sweep_needs_a_row(self, capsys):
+        code, _, err = run_cli(["verify", "--family", "almkvist", "--r", "3", "--n-max", "0"], capsys)
+        assert code == 2
+        assert "n-max" in err
