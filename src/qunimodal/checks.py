@@ -3,12 +3,20 @@
 Checks report outcomes through :class:`CheckReport` instead of raising,
 so a sweep over a whole family collects every result. Exceptions are
 reserved for misuse (wrong degree, bad parameters).
+
+Every check reads a packed row's slot bytes, never a coefficient list.
+Slots are compared by a 64-bit key from the top of the bytes a slot can
+use, and by the rest of the slot only where keys tie. That gives the
+exact signs of a_m - a_{m-1} as one int8 vector (read by the
+unimodality, window and induction checks) and of the coefficients (read
+by the sign pattern check). Symmetry compares mirrored slots in chunks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
 
 from .errors import DegreeMismatch
 from .polynomials import Polynomial, main_degree, main_rows
@@ -25,6 +33,9 @@ __all__ = [
     "check_unimodal",
     "replay_induction",
 ]
+
+# Mirrored slots compared per step of the symmetry check.
+_SYMMETRY_CHUNK = 1 << 14
 
 
 @dataclass
@@ -56,41 +67,72 @@ class CheckReport:
         return out
 
 
+def _compare(p: Polynomial, a, b) -> np.ndarray:
+    """Exact signs of slot values a - b as int8, lowest index first.
+
+    ``b`` holds as many slots as ``a``, or one slot for all of them. Slot
+    values are below 2**(bits + signed), so the bytes above the 8-byte key
+    window are zero: differing keys order their slots, and tied slots
+    compare their next 8 bytes down, until the slot ends.
+    """
+    width = p.slot // 8
+    top = width - max(8, (p.bits + p.signed + 7) // 8)
+
+    def keys(buf, offset):
+        return np.ndarray((len(buf) // width,), ">u8", buf, offset, (width,))[::-1]
+
+    signs = np.zeros(len(a) // width, dtype=np.int8)
+    tie = np.arange(signs.size)
+    for offset in range(top, width + 7, 8):
+        if not tie.size:
+            break
+        offset = min(offset, width - 8)
+        ka, kb = keys(a, offset)[tie], np.broadcast_to(keys(b, offset), signs.shape)[tie]
+        signs[tie] = (ka > kb).astype(np.int8) - (ka < kb)
+        tie = tie[ka == kb]
+    return signs
+
+
+def _steps(p: Polynomial, lo: int, hi: int) -> np.ndarray:
+    """Exact signs of a_m - a_{m-1} for lo <= m <= hi, as one int8 vector."""
+    width = p.slot // 8
+    buf = memoryview(p.slot_bytes(lo - 1, hi))
+    return _compare(p, buf[:-width], buf[width:])
+
+
+def _first_descent(p: Polynomial, lo: int, hi: int) -> int | None:
+    """First m in [lo, hi] with a_m < a_{m-1}, or None if there is none."""
+    falls = np.flatnonzero(_steps(p, lo, hi) < 0)
+    return lo + int(falls[0]) if falls.size else None
+
+
+def _shape(steps: np.ndarray, offset: int) -> tuple[int | None, int, int]:
+    """(first rise after a fall, mode_lo, mode_hi) of the run whose steps these are.
+
+    The run starts at index ``offset``; after a violation the plateau is 0, 0.
+    """
+    falls = np.flatnonzero(steps < 0)
+    if falls.size:
+        rises = np.flatnonzero(steps[falls[0]:] > 0)
+        if rises.size:
+            return offset + int(falls[0] + rises[0]) + 1, 0, 0
+    rises = np.flatnonzero(steps > 0)
+    lo = offset + (int(rises[-1]) + 1 if rises.size else 0)
+    hi = offset + (int(falls[0]) if falls.size else steps.size)
+    return None, lo, hi
+
+
 def check_symmetric(p: Polynomial) -> CheckReport:
     """Verify coeff(m) == coeff(N - m) for the full degree N."""
-    cs = p.coeffs
     n = p.degree
-    for j in range(n // 2 + 1):
-        if cs[j] != cs[n - j]:
-            return CheckReport("symmetric", False, first_violation=j)
+    limbs = np.frombuffer(p.slot_bytes(0, n), ">u8").reshape(n + 1, p.slot // 64)
+    half = n // 2 + 1
+    for start in range(0, half, _SYMMETRY_CHUNK):
+        stop = min(start + _SYMMETRY_CHUNK, half)
+        differ = (limbs[start:stop] != limbs[n - stop + 1 : n - start + 1][::-1]).any(axis=1)
+        if differ.any():
+            return CheckReport("symmetric", False, first_violation=start + int(differ.argmax()))
     return CheckReport("symmetric", True)
-
-
-def _first_rise_after_fall(cs: Sequence[int], offset: int) -> int | None:
-    """Absolute index of the first rise after a fall, or None if unimodal."""
-    falling = False
-    for i in range(1, len(cs)):
-        if falling:
-            if cs[i] > cs[i - 1]:
-                return offset + i
-        elif cs[i] < cs[i - 1]:
-            falling = True
-    return None
-
-
-def _first_descent(cs: Sequence[int], lo: int, hi: int) -> int | None:
-    """First m in [lo, hi] with cs[m] < cs[m-1], or None if there is none."""
-    for m in range(lo, hi + 1):
-        if cs[m] < cs[m - 1]:
-            return m
-    return None
-
-
-def _mode_plateau(cs: Sequence[int], offset: int) -> tuple[int, int]:
-    peak = max(cs)
-    lo = cs.index(peak)
-    hi = len(cs) - 1 - tuple(reversed(cs)).index(peak)
-    return offset + lo, offset + hi
 
 
 def check_unimodal(p: Polynomial) -> CheckReport:
@@ -101,16 +143,11 @@ def check_unimodal(p: Polynomial) -> CheckReport:
     noted in ``details`` purely as information; it is not a pass/fail
     criterion.
     """
-    cs = p.coeffs
-    violation = _first_rise_after_fall(cs, 0)
+    steps = _steps(p, 1, p.degree)
+    violation, lo, hi = _shape(steps, 0)
     if violation is not None:
         return CheckReport("unimodal", False, first_violation=violation)
-    lo, hi = _mode_plateau(cs, 0)
-    strict = (
-        hi - lo <= 1
-        and all(cs[i] > cs[i - 1] for i in range(1, lo + 1))
-        and all(cs[i] < cs[i - 1] for i in range(hi + 1, len(cs)))
-    )
+    strict = hi - lo <= 1 and bool((steps[:lo] > 0).all()) and bool((steps[hi:] < 0).all())
     return CheckReport("unimodal", True, mode_lo=lo, mode_hi=hi, details=f"strict={strict}")
 
 
@@ -128,7 +165,7 @@ def check_lemma_range(n: int, p: Polynomial) -> CheckReport:
         )
     lo = (3 * n * n + 1) // 2
     hi = 3 * (n + 1) ** 2 // 2
-    m = _first_descent(p.coeffs, lo, hi)
+    m = _first_descent(p, lo, hi)
     if m is not None:
         return CheckReport("lemma_range", False, first_violation=m, n=n)
     return CheckReport("lemma_range", True, n=n, details=f"window=[{lo},{hi}]")
@@ -147,7 +184,7 @@ def replay_induction(n_max: int) -> CheckReport:
         raise ValueError("n_max must be >= 0")
     rows = main_rows(n_max)
     p = next(rows)
-    if not check_symmetric(p).passed or _first_rise_after_fall(p.coeffs, 0) is not None:
+    if not check_symmetric(p).passed or _shape(_steps(p, 1, p.degree), 0)[0] is not None:
         return CheckReport("induction", False, n=0, details="base row failed")
     for n, p in enumerate(rows, start=1):
         sym = check_symmetric(p)
@@ -156,7 +193,7 @@ def replay_induction(n_max: int) -> CheckReport:
                 "induction", False, first_violation=sym.first_violation, n=n,
                 details=f"symmetry broke at n={n}",
             )
-        m = _first_descent(p.coeffs, 1, 3 * n * n // 2)
+        m = _first_descent(p, 1, 3 * n * n // 2)
         if m is not None:
             return CheckReport(
                 "induction", False, first_violation=m, n=n,
@@ -195,10 +232,11 @@ def check_sign_pattern(p: Polynomial, period: int, pattern) -> CheckReport:
         raise ValueError("period must be >= 1")
     if period != len(signs):
         raise ValueError(f"period {period} does not match pattern length {len(signs)}")
-    for m, c in enumerate(p.coeffs):
-        want = signs[m % period]
-        if (want > 0 and c < 0) or (want < 0 and c > 0):
-            return CheckReport("sign_pattern", False, first_violation=m)
+    coefficient_signs = _compare(p, p.slot_bytes(0, p.degree), p.bias.to_bytes(p.slot // 8, "big"))
+    want = np.resize(np.array(signs, dtype=np.int8), p.degree + 1)
+    wrong = np.flatnonzero(coefficient_signs * want < 0)
+    if wrong.size:
+        return CheckReport("sign_pattern", False, first_violation=int(wrong[0]))
     text = "".join("+" if s > 0 else "-" for s in signs)
     return CheckReport("sign_pattern", True, details=f"pattern={text}")
 
@@ -217,11 +255,9 @@ def check_almost_unimodal(p: Polynomial, a: int) -> CheckReport:
         raise ValueError("window trim must be >= 0")
     if 2 * a > n:
         raise ValueError(f"window trim {a} exceeds half the degree {n}")
-    window = p.coeffs[a : n - a + 1]
-    violation = _first_rise_after_fall(window, a)
+    violation, lo, hi = _shape(_steps(p, a + 1, n - a), a)
     if violation is not None:
         return CheckReport("almost_unimodal", False, first_violation=violation, details=f"trim={a}")
-    lo, hi = _mode_plateau(window, a)
     central = lo <= (n + 1) // 2 and hi >= n // 2
     return CheckReport(
         "almost_unimodal", True, mode_lo=lo, mode_hi=hi,

@@ -228,9 +228,7 @@ def _product_spec(config: RunConfig, n: int) -> ProductSpec:
 def _cmd_expand(config: RunConfig):
     p = build_product(_product_spec(config, config.n))
     with _sink(config.out) as fh:
-        for line in dump_lines(p):
-            fh.write(line + "\n")
-    return None
+        fh.writelines(line + "\n" for line in dump_lines(p))
 
 
 def _cmd_verify(config: RunConfig):

@@ -1,9 +1,13 @@
-"""Exact dense polynomial arithmetic for binomial q-products.
+"""Exact dense polynomial arithmetic for binomial q-products, packed.
 
-The expansion pipeline works entirely over arbitrary precision Python
-integers: a polynomial is a dense coefficient tuple, and products of
-binomial factors (1 +- q**a) are accumulated one factor at a time with
-a single backwards pass each. Nothing in this module is numerical.
+All arithmetic is on arbitrary precision integers. A row is one integer
+``packed = sum_m a_m * 2**(slot*m)`` (Kronecker substitution, Harvey
+2009), so a factor (1 +- q**e) is one shifted add ``x +- (x << slot*e)``.
+Every |a_m| < 2**bits < 2**slot, with slot a multiple of 64, so no slot
+carries into the next; F factors give |a_m| <= 2**F, and
+:func:`product_rows` fixes the slot above F + 1 bits before its first
+factor (384 for ``main_rows(167)``). Signed rows are packed alike.
+``.coeffs`` decodes the slots once, on first access.
 
 :func:`family_rows` streams the rows of each product family, and
 :func:`build_product` is its last row:
@@ -49,13 +53,22 @@ def main_degree(n: int) -> int:
     return 3 * (n + 1) ** 2
 
 
-class Polynomial:
-    """Dense polynomial with exact integer coefficients.
+def _slot_width(bits: int) -> int:
+    """The first multiple of 64 above ``bits``."""
+    return 64 * (bits // 64 + 1)
 
-    Treated as immutable: the coefficient storage is a tuple and all
-    operations return new instances. Trailing zeros are trimmed on
-    construction; the zero polynomial is stored canonically as ``(0,)``
-    and reports degree 0.
+
+def _spread(value: int, slot: int, count: int) -> int:
+    """``value`` in each of ``count`` slots: sum_m value * 2**(slot*m)."""
+    return int.from_bytes(value.to_bytes(slot // 8, "big") * count, "big")
+
+
+class Polynomial:
+    """Dense polynomial with exact integer coefficients, packed in one integer.
+
+    Treated as immutable: all operations return new instances. Trailing
+    zeros are trimmed on construction; the zero polynomial is ``(0,)``
+    with degree 0. ``signed`` says whether a coefficient may be negative.
 
     >>> Polynomial([1, 2, 3, 0]).coeffs
     (1, 2, 3)
@@ -63,20 +76,62 @@ class Polynomial:
     True
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("packed", "slot", "degree", "bits", "signed", "_coeffs", "_bytes")
 
     def __init__(self, coefficients: Iterable[int]) -> None:
-        cs = list(coefficients)
+        cs = [int(c) for c in coefficients]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[int, ...] = tuple(cs) if cs else (0,)
+        cs = cs or [0]
+        bits = max(abs(c).bit_length() for c in cs)
+        slot = _slot_width(bits + 1)  # room for one more factor
+        self._set(0, slot, len(cs) - 1, bits, min(cs) < 0, tuple(cs))
+        biased = b"".join((c + self.bias).to_bytes(slot // 8, "big") for c in reversed(cs))
+        self.packed = int.from_bytes(biased, "big") - (_spread(self.bias, slot, len(cs)) if self.signed else 0)
+
+    @classmethod
+    def _of(cls, packed: int, slot: int, degree: int, bits: int, signed: bool) -> "Polynomial":
+        p = cls.__new__(cls)
+        p._set(packed, slot, degree, bits, signed, None)
+        return p
+
+    def _set(self, packed, slot, degree, bits, signed, coeffs) -> None:
+        self.packed, self.slot, self.degree, self.bits, self.signed = packed, slot, degree, bits, signed
+        self._coeffs: tuple[int, ...] | None = coeffs
+        self._bytes: bytes | None = None
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+    def bias(self) -> int:
+        """What :meth:`slot_bytes` adds to every slot: 2**bits for a signed row, else 0."""
+        return 1 << self.bits if self.signed else 0
+
+    def slot_bytes(self, lo: int, hi: int) -> bytes | memoryview:
+        """Slots hi down to lo, ``slot // 8`` big-endian bytes each.
+
+        Slot m holds a_m + :attr:`bias`, in [0, 2**(bits + signed)). The
+        whole row's bytes are kept, and a part is cut from them if kept.
+        """
+        width = self.slot // 8
+        if self._bytes is not None:
+            return memoryview(self._bytes)[(self.degree - hi) * width : (self.degree - lo + 1) * width]
+        value = self.packed + _spread(self.bias, self.slot, self.degree + 1) if self.signed else self.packed
+        if lo == 0 and hi == self.degree:
+            self._bytes = value.to_bytes(width * (self.degree + 1), "big")
+            return self._bytes
+        value = (value >> (self.slot * lo)) & ((1 << (self.slot * (hi - lo + 1))) - 1)
+        return value.to_bytes(width * (hi - lo + 1), "big")
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The coefficients a_0..a_degree, decoded from the slots on first access."""
+        if self._coeffs is None:
+            width, view, bias = self.slot // 8, memoryview(self.slot_bytes(0, self.degree)), self.bias
+            ends = range(len(view), 0, -width)
+            self._coeffs = tuple(int.from_bytes(view[i - width : i], "big") - bias for i in ends)
+        return self._coeffs
 
     def is_zero(self) -> bool:
-        return self.coeffs == (0,)
+        return self.packed == 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
@@ -88,7 +143,7 @@ class Polynomial:
 
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self.coeffs[:6])
-        ellipsis = ", ..." if len(self.coeffs) > 6 else ""
+        ellipsis = ", ..." if self.degree >= 6 else ""
         return f"Polynomial(degree={self.degree}, coeffs=[{shown}{ellipsis}])"
 
 
@@ -140,11 +195,7 @@ class ProductSpec:
 
 
 def mul_binomial(p: Polynomial, sign: int, exponent: int) -> Polynomial:
-    """Multiply by (1 + sign * q**exponent) in one backwards pass.
-
-    Walking the output from high to low degree reads each source
-    coefficient before anything could overwrite it, so no scratch
-    polynomial is needed.
+    """Multiply by (1 + sign * q**exponent): one shifted add of the packed row.
 
     >>> mul_binomial(Polynomial([1, 1]), 1, 2).coeffs
     (1, 1, 1, 1)
@@ -155,34 +206,32 @@ def mul_binomial(p: Polynomial, sign: int, exponent: int) -> Polynomial:
         raise ValueError(f"exponent must be >= 1, got {exponent}")
     if p.is_zero():
         return p
-    out = list(p.coeffs) + [0] * exponent
-    if sign == 1:
-        for m in range(len(out) - 1, exponent - 1, -1):
-            c = out[m - exponent]
-            if c:
-                out[m] += c
-    else:
-        for m in range(len(out) - 1, exponent - 1, -1):
-            c = out[m - exponent]
-            if c:
-                out[m] -= c
-    return Polynomial(out)
+    if p.bits + 1 >= p.slot:
+        p = Polynomial(p.coeffs)  # repacked with a free bit per slot
+    shifted = p.packed << (p.slot * exponent)
+    packed = p.packed + shifted if sign == 1 else p.packed - shifted
+    return Polynomial._of(packed, p.slot, p.degree + exponent, p.bits + 1, p.signed or sign < 0)
 
 
 def product_rows(groups: Iterable[Iterable[tuple[int, int]]]) -> Iterator[Polynomial]:
     """Yield the running product after each group of (sign, exponent) factors.
 
-    Only the current row is kept, so a long chain costs the memory of
-    one row. An empty group yields the product so far unchanged.
+    The slot width is fixed from the factor count before the first
+    factor. Only the current packed row is kept, no coefficient list is
+    built, and a row's slot bytes are dropped once the stream moves on.
+    An empty group yields the product so far unchanged.
 
     >>> [p.coeffs for p in product_rows([[(1, 1)], [], [(-1, 2)]])]
     [(1, 1), (1, 1), (1, 1, -1, -1)]
     """
-    p = Polynomial([1])
+    groups = [list(group) for group in groups]
+    factors = sum(len(group) for group in groups)
+    p = Polynomial._of(1, _slot_width(factors + 1), 0, 1, False)
     for group in groups:
         for sign, exponent in group:
             p = mul_binomial(p, sign, exponent)
         yield p
+        p._bytes = None  # a consumer holding this row keeps only its integer
 
 
 def main_rows(n_max: int, sign: int = 1) -> Iterator[Polynomial]:
@@ -279,20 +328,12 @@ def recurrence_step(prev: Polynomial, n: int) -> Polynomial:
         raise DegreeMismatch(
             f"previous row has degree {prev.degree}, expected {expected} for step n={n}"
         )
-    s1, s2, s3 = 3 * n + 1, 3 * n + 2, 6 * n + 3
-    cs = prev.coeffs
-    out = list(cs) + [0] * s3
-    for j, v in enumerate(cs):
-        if v:
-            out[j + s1] += v
-            out[j + s2] += v
-            out[j + s3] += v
-    return Polynomial(out)
+    return mul_binomial(mul_binomial(prev, 1, 3 * n + 1), 1, 3 * n + 2)
 
 
 def coeff(p: Polynomial, m: int) -> int:
     """Coefficient of q**m, zero outside the stored range."""
-    if 0 <= m < len(p.coeffs):
+    if 0 <= m <= p.degree:
         return p.coeffs[m]
     return 0
 

@@ -98,6 +98,47 @@ def is_unimodal(seq) -> bool:
     )
 
 
+def symmetric_violation(seq):
+    """Smallest j with seq[j] != seq[-1 - j], or None."""
+    return next((j for j in range(len(seq)) if seq[j] != seq[-1 - j]), None)
+
+
+def rise_after_fall(seq):
+    """Smallest i with seq[i] > seq[i - 1] after some fall seq[j] < seq[j - 1], j < i; or None."""
+    fell = False
+    for i in range(1, len(seq)):
+        if fell and seq[i] > seq[i - 1]:
+            return i
+        fell = fell or seq[i] < seq[i - 1]
+    return None
+
+
+def mode_plateau(seq):
+    """First and last index of the maximum."""
+    peak = max(seq)
+    return seq.index(peak), max(i for i, c in enumerate(seq) if c == peak)
+
+
+def is_strictly_unimodal(seq):
+    """A plateau of at most two entries with strict slopes on both sides."""
+    lo, hi = mode_plateau(seq)
+    return (
+        hi - lo <= 1
+        and all(seq[i - 1] < seq[i] for i in range(1, lo + 1))
+        and all(seq[i - 1] > seq[i] for i in range(hi + 1, len(seq)))
+    )
+
+
+def first_descent(seq, lo, hi):
+    """Smallest m in [lo, hi] with seq[m] < seq[m - 1], or None."""
+    return next((m for m in range(lo, hi + 1) if seq[m] < seq[m - 1]), None)
+
+
+def sign_violation(seq, pattern):
+    """Smallest m whose nonzero seq[m] has the sign opposite to pattern[m % len(pattern)]."""
+    return next((m for m, c in enumerate(seq) if c * pattern[m % len(pattern)] < 0), None)
+
+
 def upper_gamma_three_halves(x: float) -> float:
     """Closed form for integral_x^inf sqrt(v) e^(-v) dv via erfc."""
     return 0.5 * math.sqrt(math.pi) * math.erfc(math.sqrt(x)) + math.sqrt(x) * math.exp(-x)
