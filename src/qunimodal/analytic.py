@@ -160,7 +160,10 @@ def cosine_product(n: int, theta):
     so the product is 2^-(n+1) prod_k (cos t + cos((6k+3) t)): n+2 cosine
     evaluations per point instead of 2n+2. Every argument is still an
     exact integer multiple of theta times one rounding, as in the plain
-    product.
+    product. A folded factor reaches 2, so the exact scaling 2^-512 is
+    applied after every 512 of them: the running product stays below
+    2^512 and never overflows, and for n < 511 only the final scaling is
+    left.
     """
     th = np.asarray(theta, dtype=float)
     c1 = np.cos(th)
@@ -171,7 +174,9 @@ def cosine_product(n: int, theta):
         np.cos(buf, out=buf)
         buf += c1
         out *= buf
-    return np.ldexp(out, -(n + 1))
+        if k % 512 == 511:
+            np.ldexp(out, -512, out=out)
+    return np.ldexp(out, -((n + 1) % 512))
 
 
 def integrand(n: int, mu, theta):
@@ -696,8 +701,11 @@ def sweep_identity_residuals(samples: int = 1000, seed: int = 20260822) -> list[
 
     Sampling is seeded rather than adversarial: x is uniform on
     [1e-3, pi - 1e-3] with redraws below the sine floor, n uniform on
-    [1, 10000].
+    [1, 10000]. Raises ``ValueError`` for ``samples < 1``: a sweep that
+    draws nothing has no worst residual to certify.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     certificates = []
     for identity in IDENTITY_IDS:

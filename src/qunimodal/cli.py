@@ -14,9 +14,9 @@ Commands
   sweep-f    comparison factor window, decrease, log derivative ceiling
 
 Exit codes: 0 every check passed; 1 a check failed or a certificate
-margin was nonpositive; 2 invalid configuration; 3 certification
-inconclusive (a margin fell inside its error budget, or the quadrature
-budget was exhausted).
+margin was nonpositive; 2 invalid configuration, or an output path that
+cannot be written; 3 certification inconclusive (a margin fell inside
+its error budget, or the quadrature budget was exhausted).
 
 Reports are JSON envelopes {"metadata": {...}, "results": [...]}. The
 results block is byte-reproducible for identical configurations; the
@@ -350,15 +350,19 @@ def run(config: RunConfig) -> int:
     handler = _HANDLERS[config.command]
     try:
         results = handler(config)
+        if results is not None:
+            _write_report(config, results)
     except (GridTooCoarse, SingularPoint, NearSingular) as exc:
         print(f"qunimodal {config.command}: inconclusive: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"qunimodal {config.command}: invalid request: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an output path (--out, --report, --plot-csv) that cannot be written
+        print(f"qunimodal {config.command}: cannot write output: {exc}", file=sys.stderr)
+        return 2
     if results is None:
         return 0
-    _write_report(config, results)
     good = sum(1 for r in results if r.passed)
     print(f"qunimodal {config.command}: {good}/{len(results)} checks passed", file=sys.stderr)
     return _exit_code(results)

@@ -4,8 +4,8 @@ All arithmetic is on arbitrary precision integers. A row is one integer
 ``packed = sum_m a_m * 2**(slot*m)`` (Kronecker substitution, Harvey
 2009), so a factor (1 +- q**e) is one shifted add ``x +- (x << slot*e)``.
 Every |a_m| < 2**bits < 2**slot, with slot a multiple of 64, so no slot
-carries into the next; F factors give |a_m| <= 2**F, and
-:func:`product_rows` fixes the slot above F + 1 bits before its first
+carries into the next; a factor of t terms adds ceil(log2 t) bits, and
+:func:`product_rows` fixes the slot above their sum + 1 before its first
 factor (384 for ``main_rows(167)``). Signed rows are packed alike.
 ``.coeffs`` decodes the slots once, on first access.
 
@@ -16,9 +16,8 @@ factor (384 for ``main_rows(167)``). Signed rows are packed alike.
   3 (n+1)**2, through :func:`main_rows` (which also streams the signed
   variant). :func:`recurrence_step` states the paper's row recurrence.
 * ``odd``: prod_{k=1}^{n} (1 + q**(2k-1)).
-* ``almkvist``: prod_{k=1}^{n} (1 - q**(rk)) / (1 - q**k). Row n is row
-  n-1 times (1 - q**(rn)), then one exact division by (1 - q**n);
-  a remainder raises :class:`AlmkvistDivisionInexact`.
+* ``almkvist``: prod_{k=1}^{n} (1 - q**(rk)) / (1 - q**k), a plain product
+  of the geometric blocks 1 + q**k + ... + q**((r-1)k); no row is divided.
 * ``general``: an explicit list of (sign, exponent) binomial factors.
 """
 
@@ -78,13 +77,13 @@ class Polynomial:
 
     __slots__ = ("packed", "slot", "degree", "bits", "signed", "_coeffs", "_bytes")
 
-    def __init__(self, coefficients: Iterable[int]) -> None:
+    def __init__(self, coefficients: Iterable[int], room: int = 1) -> None:
         cs = [int(c) for c in coefficients]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         cs = cs or [0]
         bits = max(abs(c).bit_length() for c in cs)
-        slot = _slot_width(bits + 1)  # room for one more factor
+        slot = _slot_width(bits + room)  # free bits per slot: one binomial needs 1
         self._set(0, slot, len(cs) - 1, bits, min(cs) < 0, tuple(cs))
         biased = b"".join((c + self.bias).to_bytes(slot // 8, "big") for c in reversed(cs))
         self.packed = int.from_bytes(biased, "big") - (_spread(self.bias, slot, len(cs)) if self.signed else 0)
@@ -194,42 +193,49 @@ class ProductSpec:
         return cls(family="almkvist", r=r, n=n)
 
 
-def mul_binomial(p: Polynomial, sign: int, exponent: int) -> Polynomial:
-    """Multiply by (1 + sign * q**exponent): one shifted add of the packed row.
+def mul_binomial(p: Polynomial, sign: int, exponent: int, terms: int = 2) -> Polynomial:
+    """Multiply by sum_{j<terms} (sign * q**exponent)**j: one shifted add per term.
+
+    ``terms=2`` is the binomial (1 + sign q**e); (1, e, r) is (1 - q**(re)) / (1 - q**e).
 
     >>> mul_binomial(Polynomial([1, 1]), 1, 2).coeffs
     (1, 1, 1, 1)
+    >>> mul_binomial(Polynomial([1, 1]), -1, 1, terms=3).coeffs
+    (1, 0, 0, 1)
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if exponent < 1:
-        raise ValueError(f"exponent must be >= 1, got {exponent}")
+    if exponent < 1 or terms < 1:
+        raise ValueError(f"exponent and terms must be >= 1, got {exponent} and {terms}")
     if p.is_zero():
         return p
-    if p.bits + 1 >= p.slot:
-        p = Polynomial(p.coeffs)  # repacked with a free bit per slot
-    shifted = p.packed << (p.slot * exponent)
-    packed = p.packed + shifted if sign == 1 else p.packed - shifted
-    return Polynomial._of(packed, p.slot, p.degree + exponent, p.bits + 1, p.signed or sign < 0)
+    growth = (terms - 1).bit_length()  # ceil(log2 terms) bits
+    if p.bits + growth >= p.slot:
+        p = Polynomial(p.coeffs, room=growth)  # repacked with room for the whole growth
+    shift, packed = p.slot * exponent, p.packed
+    for _ in range(terms - 1):  # Horner: p + sign * q**exponent * (the sum so far)
+        packed = p.packed + (packed << shift) if sign == 1 else p.packed - (packed << shift)
+    return Polynomial._of(packed, p.slot, p.degree + (terms - 1) * exponent, p.bits + growth, p.signed or sign < 0)
 
 
-def product_rows(groups: Iterable[Iterable[tuple[int, int]]]) -> Iterator[Polynomial]:
-    """Yield the running product after each group of (sign, exponent) factors.
+def product_rows(groups: Iterable[Iterable[tuple[int, ...]]]) -> Iterator[Polynomial]:
+    """Yield the running product after each group of factors, as :func:`mul_binomial` takes them.
 
-    The slot width is fixed from the factor count before the first
-    factor. Only the current packed row is kept, no coefficient list is
-    built, and a row's slot bytes are dropped once the stream moves on.
-    An empty group yields the product so far unchanged.
+    A factor is (sign, exponent) or (sign, exponent, terms). The slot width
+    is fixed from the total growth before the first factor. Only the
+    current packed row is kept, no coefficient list is built, and a row's
+    slot bytes are dropped once the stream moves on. An empty group yields
+    the product so far unchanged.
 
     >>> [p.coeffs for p in product_rows([[(1, 1)], [], [(-1, 2)]])]
     [(1, 1), (1, 1), (1, 1, -1, -1)]
     """
-    groups = [list(group) for group in groups]
-    factors = sum(len(group) for group in groups)
-    p = Polynomial._of(1, _slot_width(factors + 1), 0, 1, False)
+    groups = [[(*factor, 2)[:3] for factor in group] for group in groups]
+    growth = sum((terms - 1).bit_length() for group in groups for _, _, terms in group)
+    p = Polynomial._of(1, _slot_width(growth + 1), 0, 1, False)
     for group in groups:
-        for sign, exponent in group:
-            p = mul_binomial(p, sign, exponent)
+        for sign, exponent, terms in group:
+            p = mul_binomial(p, sign, exponent, terms)
         yield p
         p._bytes = None  # a consumer holding this row keeps only its integer
 
@@ -253,10 +259,7 @@ def family_rows(spec: ProductSpec) -> Iterator[tuple[int | None, Polynomial]]:
     elif spec.family == "odd":
         yield from enumerate(product_rows([(1, 2 * k - 1)] if k else [] for k in range(spec.n + 1)))
     elif spec.family == "almkvist":
-        p = Polynomial([1])
-        for n in range(1, spec.n + 1):
-            p = divide_exact(mul_binomial(p, -1, spec.r * n), Polynomial([1] + [0] * (n - 1) + [-1]))
-            yield n, p
+        yield from enumerate(product_rows([(1, n, spec.r)] for n in range(1, spec.n + 1)), start=1)
     elif spec.family == "general":
         (p,) = product_rows([spec.factors])
         yield None, p
@@ -276,6 +279,7 @@ def build_product(spec: ProductSpec) -> Polynomial:
 def divide_exact(numerator: Polynomial, denominator: Polynomial) -> Polynomial:
     """Schoolbook long division that must terminate with remainder zero.
 
+    A reference only: no family calls it; the quotient rows are tested against it.
     Works over the integers as long as every leading division is exact,
     which holds whenever the denominator's leading coefficient is a
     unit. Raises :class:`AlmkvistDivisionInexact` the moment a quotient

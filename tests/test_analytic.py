@@ -14,6 +14,7 @@ from qunimodal.analytic import (
     GAUSSIAN_RATE,
     certify_E_bound,
     coeff_by_integral,
+    cosine_product,
     e_exponent,
     envelope_exponent_grid,
     envelope_grid,
@@ -464,3 +465,25 @@ class TestEnvelopeGrid:
     def test_identity_sweep_reports_its_n_cap(self):
         for cert in sweep_identity_residuals(5, seed=3):
             assert cert.detail["n_cap"] == 10_000
+
+
+class TestLargeNCosineProduct:
+    @pytest.mark.parametrize("n", [510, 511, 1023, 1100, 1500, 3000])
+    def test_matches_the_plain_product(self, n):
+        thetas = [1e-5, 3e-5, 1e-4]
+        want = [math.prod(math.cos((3 * k + 1) * t) * math.cos((3 * k + 2) * t) for k in range(n + 1))
+                for t in thetas]
+        got = cosine_product(n, np.array(thetas))
+        assert np.all(np.isfinite(got))
+        assert got.tolist() == pytest.approx(want, rel=1e-11)
+
+    def test_no_overflow_near_zero(self):
+        # The folded factors are near 2 here; unscaled, 1101 of them overflow.
+        assert cosine_product(1100, 1e-5) == pytest.approx(0.6700294407846888, rel=1e-12)
+
+
+class TestIdentitySweepSamples:
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_empty_sweep_is_refused(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            sweep_identity_residuals(samples)

@@ -278,3 +278,30 @@ class TestFamilyStream:
         code, _, err = run_cli(["verify", "--family", "almkvist", "--r", "3", "--n-max", "0"], capsys)
         assert code == 2
         assert "n-max" in err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "--n-max", "5", "--report", "{path}"],
+            ["expand", "--n", "3", "--out", "{path}"],
+            ["certify", "--n", "168", "--grid-points", "1000", "--plot-csv", "{path}"],
+            ["sweep-f", "--n-min", "168", "--n-max", "170", "--plot-csv", "{path}"],
+        ],
+    )
+    def test_exits_2_without_a_traceback(self, args, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "out.txt")
+        code, _, err = run_cli([a.format(path=path) for a in args], capsys)
+        assert code == 2
+        assert "cannot write output" in err
+        assert "Traceback" not in err
+
+
+class TestLargeLobeN:
+    def test_grid_outrun_is_inconclusive_not_an_overflow(self, capsys):
+        code, _, err = run_cli(
+            ["certify", "--n", "168", "--grid-points", "1000", "--i2-n", "1100", "--i2-mu", "7"], capsys
+        )
+        assert code == 3
+        assert "needs 14568412 panels" in err

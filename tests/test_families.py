@@ -3,7 +3,6 @@
 import pytest
 
 import oracles
-from qunimodal import polynomials
 from qunimodal.polynomials import ProductSpec, build_product, family_rows
 
 
@@ -45,16 +44,3 @@ class TestFamilyRows:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             list(family_rows(ProductSpec(family="even", n=3)))
-
-    def test_quotient_row_takes_one_division(self, monkeypatch):
-        calls = []
-        divide = polynomials.divide_exact
-
-        def counted(numerator, denominator):
-            calls.append(denominator.degree)
-            return divide(numerator, denominator)
-
-        monkeypatch.setattr(polynomials, "divide_exact", counted)
-        rows = rows_of(ProductSpec.almkvist(3, 40))
-        assert [n for n, _ in rows] == list(range(1, 41))
-        assert calls == list(range(1, 41))

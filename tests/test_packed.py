@@ -27,6 +27,7 @@ from qunimodal.polynomials import (
     Polynomial,
     ProductSpec,
     build_product,
+    divide_exact,
     family_rows,
     main_rows,
     mul_binomial,
@@ -257,3 +258,94 @@ class TestRowsEndToEnd:
         assert results("induction") == [
             {"kind": "induction", "passed": True, "n": n_max, "details": f"chain verified through n={n_max}"}
         ]
+
+
+# --- geometric blocks: the quotient family's factors ------------------------
+
+def block(sign, exponent, terms):
+    """sum_{j<terms} (sign * q**exponent)**j as a coefficient list."""
+    out = [0] * ((terms - 1) * exponent + 1)
+    for j in range(terms):
+        out[j * exponent] = sign**j
+    return out
+
+
+# Entries of 58..64 or 122..128 bits: a list row packs them in 64- or
+# 128-bit slots with at most a few bits to spare.
+boundary_entries = st.builds(
+    lambda bits, low, sign: sign * ((1 << (bits - 1)) + low % (1 << (bits - 1))),
+    st.sampled_from([58, 61, 62, 63, 64, 122, 125, 126, 127, 128]),
+    st.integers(0, 2**128),
+    st.sampled_from([1, -1]),
+)
+blocks = st.tuples(st.sampled_from([1, -1]), st.integers(1, 6), st.integers(2, 7))
+
+
+class TestGeometricBlocks:
+    @given(st.lists(entries, min_size=1, max_size=20), blocks)
+    def test_block_matches_convolution(self, cs, factor):
+        p = mul_binomial(Polynomial(cs), *factor)
+        want = trimmed(oracles.convolve(trimmed(cs), block(*factor)))
+        assert list(p.coeffs) == want
+        assert p.packed == packed_by_hand(want, p.slot)
+        assert max(abs(c) for c in want) < 2**p.bits < 2**p.slot
+
+    @given(st.lists(boundary_entries, min_size=1, max_size=12), blocks)
+    def test_list_row_near_a_slot_boundary(self, cs, factor):
+        p = mul_binomial(Polynomial(cs), *factor)
+        want = oracles.convolve(cs, block(*factor))
+        assert p.packed == packed_by_hand(want, p.slot)
+        assert list(p.coeffs) == want
+        assert p.bits < p.slot
+
+    def test_a_full_slot_is_repacked_for_the_whole_growth(self):
+        cs = [2**62 - 1] * 10
+        p = Polynomial(cs)
+        assert (p.slot, p.bits) == (64, 62)
+        q = mul_binomial(p, 1, 1, 5)  # three bits of growth: 65 > 64
+        assert q.slot == 128
+        assert list(q.coeffs) == oracles.convolve(cs, [1] * 5)
+
+    def test_one_term_is_the_identity(self):
+        assert mul_binomial(Polynomial([3, -1, 2]), -1, 4, 1).coeffs == (3, -1, 2)
+
+    def test_rejects_bad_terms(self):
+        with pytest.raises(ValueError):
+            mul_binomial(Polynomial([1]), 1, 1, 0)
+
+    @given(st.lists(st.one_of(blocks, st.tuples(st.sampled_from([1, -1]), st.integers(1, 6))), max_size=10))
+    def test_stream_of_mixed_factors(self, factors):
+        rows = list(product_rows([f] for f in factors))
+        full = [(*f, 2)[:3] for f in factors]  # a binomial is a block of two terms
+        growth = sum((terms - 1).bit_length() for _, _, terms in full)
+        want = [1]
+        for f, p in zip(full, rows):
+            want = oracles.convolve(want, block(*f))
+            assert p._coeffs is None
+            assert p.packed == packed_by_hand(want, p.slot)
+            assert list(p.coeffs) == want
+        assert all(p.slot == rows[0].slot > growth + 1 for p in rows)
+
+
+class TestQuotientStream:
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 7])
+    def test_rows_match_the_division_route_and_the_block_oracle(self, r):
+        divided, want = Polynomial([1]), [1]
+        for n, p in family_rows(ProductSpec.almkvist(r, 30)):
+            divided = divide_exact(mul_binomial(divided, -1, r * n), Polynomial([1] + [0] * (n - 1) + [-1]))
+            want = oracles.convolve(want, oracles.geometric_block(r, n))
+            assert p._coeffs is None  # the stream never decodes a row
+            assert p.packed == packed_by_hand(want, p.slot)
+            assert p.degree == (r - 1) * n * (n + 1) // 2
+            before = [check_symmetric(p).to_json_dict(), check_unimodal(p).to_json_dict()]
+            assert before == [want_symmetric(want), want_unimodal(want)]
+            assert list(divided.coeffs) == want
+            assert list(p.coeffs) == want
+            assert [check_symmetric(p).to_json_dict(), check_unimodal(p).to_json_dict()] == before
+        assert want == oracles.gaussian_product(r, 30)
+
+    def test_slot_is_fixed_from_the_block_growth(self):
+        # Each block of r = 5 terms adds three bits: 90 bits for n = 30.
+        rows = [p for _, p in family_rows(ProductSpec.almkvist(5, 30))]
+        assert {p.slot for p in rows} == {128}
+        assert rows[-1].bits == 91

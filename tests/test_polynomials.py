@@ -1,8 +1,11 @@
+import doctest
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qunimodal import polynomials
 from qunimodal.errors import AlmkvistDivisionInexact, DegreeMismatch
 from qunimodal.polynomials import (
     Polynomial,
@@ -264,3 +267,10 @@ class TestDumpFormat:
             parse_dump(["zero,one"])
         with pytest.raises(ValueError):
             parse_dump([])
+
+
+class TestDoctests:
+    def test_module_examples_hold(self):
+        result = doctest.testmod(polynomials)
+        assert result.attempted >= 1
+        assert result.failed == 0
