@@ -223,24 +223,28 @@ def _reconstruction_guard(n: int) -> None:
         )
 
 
-def coeff_by_integral(n: int, m: int, max_panels: int = 1_000_000) -> float:
-    """Reconstruct one exact coefficient from the cosine product integral.
+def coeff_by_integral(n: int, m, max_panels: int = 1_000_000):
+    """Reconstruct exact coefficients from the cosine product integral.
 
-    The prefactor 2**(2n+3) amplifies quadrature and rounding noise, so
+    ``m`` is one index, giving a float from the grid of its own offset
+    mu = d - 2m, or a sequence of indices, giving an array with one value
+    per index from a single pass on the grid of the largest |mu|. The
+    prefactor 2**(2n+3) amplifies quadrature and rounding noise, so
     reconstruction is only honest at small n; anything above n = 12
     raises :class:`GridTooCoarse` rather than returning digits that
     double precision cannot back.
     """
     d = main_degree(n)
-    if not 0 <= m <= d:
+    ms = np.asarray(m)
+    if ms.min() < 0 or ms.max() > d:
         raise ValueError(f"m must lie in [0, {d}], got {m}")
     _reconstruction_guard(n)
-    mu = d - 2 * m
+    mu = d - 2 * ms
     result = integrate_oscillatory(
-        lambda th: np.cos(mu * th) * cosine_product(n, th),
+        lambda th: np.cos(np.multiply.outer(mu, th)) * cosine_product(n, th),
         0.0,
         math.pi / 2,
-        d + abs(mu),
+        d + float(np.max(np.abs(mu))),
         max_panels,
     )
     return (2.0 ** (2 * n + 3) / math.pi) * result.value
@@ -401,7 +405,7 @@ def f_value(n: float) -> float:
     """Comparison factor weighing the oscillatory lobe against the first.
 
     f(n) = pi^3 n^4.5 / (4 * 0.0583) * (1/2 - 1/(6n+4)) * exp(-0.163 n - 0.031).
-    Underflows to 0.0 for n beyond roughly 4650; use :func:`f_log` there.
+    Underflows to 0.0 from n = 4572 on; use :func:`f_log` there.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -442,49 +446,14 @@ def f_log_derivative(n):
 def gamma_tail(x: float) -> float:
     """integral_x^inf sqrt(v) exp(-v) dv, the upper incomplete gamma at 3/2.
 
-    A power series handles x < 2.5 and a Lentz continued fraction the
-    rest; both run to relative machine precision. The value underflows
-    to 0.0 once exp(-x + 1.5 log x) does (x beyond roughly 745).
+    Closed form sqrt(x) exp(-x) + (sqrt(pi)/2) erfc(sqrt(x)) (DLMF 8.4.6,
+    8.8.2), exactly sqrt(pi)/2 at x = 0. The value underflows to 0.0 once
+    exp(-x) does (x beyond roughly 745.5).
     """
     if x < 0:
         raise ValueError("x must be >= 0")
-    if x == 0.0:
-        return GAMMA_THREE_HALVES
-    a = 1.5
-    front = math.exp(-x + a * math.log(x))
-    if x < a + 1.0:
-        total = 1.0 / a
-        term = total
-        for k in range(1, 200):
-            term *= x / (a + k)
-            total += term
-            if abs(term) < abs(total) * 1e-17:
-                break
-        else:
-            raise RuntimeError("gamma tail series failed to converge")
-        return GAMMA_THREE_HALVES - total * front
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 200):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    else:
-        raise RuntimeError("gamma tail continued fraction failed to converge")
-    return front * h
+    root = math.sqrt(x)
+    return root * math.exp(-x) + GAMMA_THREE_HALVES * math.erfc(root)
 
 
 def gamma_tail_certificates() -> list[BoundCertificate]:
@@ -883,7 +852,8 @@ def _lobe_certificate(n: int, mu: int, split: float, lobes) -> BoundCertificate:
 def reconstruction_sweep(n_max: int = 8, max_panels: int = 1_000_000) -> list[CheckReport]:
     """Compare coeff_by_integral with the exact expansion for n <= n_max.
 
-    Coefficients m and d - m are compared with the same integral. One
+    Each row is one k-row quadrature of its indices m = 0..d//2, and
+    coefficients m and d - m are compared with the same integral. One
     report per n; ``passed`` means every coefficient of the row came
     back within 1e-6 relative error. Like :func:`coeff_by_integral`, it
     stops at n = 12: a larger ``n_max`` raises :class:`GridTooCoarse`
@@ -893,9 +863,8 @@ def reconstruction_sweep(n_max: int = 8, max_panels: int = 1_000_000) -> list[Ch
     reports = []
     for n, p in enumerate(main_rows(n_max)):
         d = main_degree(n)
-        # Offsets mu and -mu share the integrand cos(mu theta) P(theta) and
-        # its grid, so coefficients m and d - m share one integral.
-        approx_at = [coeff_by_integral(n, m, max_panels=max_panels) for m in range(d // 2 + 1)]
+        # Offsets mu and -mu share the integrand cos(mu theta) P(theta).
+        approx_at = coeff_by_integral(n, range(d // 2 + 1), max_panels).tolist()
         worst = -1.0
         worst_m = 0
         for m, exact in enumerate(p.coeffs):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeMismatch
-from .polynomials import Polynomial, main_degree, main_rows
+from .polynomials import Polynomial, ProductSpec, family_rows, main_degree
 
 # Unused here, but bench/tracing.py wraps these names in this module; keep them bound.
 from .polynomials import build_product, recurrence_step  # noqa: F401
@@ -182,11 +182,11 @@ def replay_induction(n_max: int) -> CheckReport:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    rows = main_rows(n_max)
-    p = next(rows)
+    rows = family_rows(ProductSpec.main(n_max))
+    _, p = next(rows)
     if not check_symmetric(p).passed or _shape(_steps(p, 1, p.degree), 0)[0] is not None:
         return CheckReport("induction", False, n=0, details="base row failed")
-    for n, p in enumerate(rows, start=1):
+    for n, p in rows:
         sym = check_symmetric(p)
         if not sym.passed:
             return CheckReport(
@@ -205,6 +205,7 @@ def replay_induction(n_max: int) -> CheckReport:
                 "induction", False, first_violation=window.first_violation, n=n,
                 details=f"central window broke at n={n}, m={window.first_violation}",
             )
+        del p  # released before the stream builds the next row
     return CheckReport("induction", True, n=n_max, details=f"chain verified through n={n_max}")
 
 

@@ -117,6 +117,8 @@ class RunConfig:
             raise ValueError("the quotient family needs --r >= 2")
         if wants_quotient and self.command != "expand" and self.n_max < 1:
             raise ValueError("the quotient family starts at n = 1; need --n-max >= 1")
+        if self.command == "lemma" and self.n_max < 1:
+            raise ValueError("the lemma's window check starts at n = 1; need --n-max >= 1")
         if self.command == "expand":
             if self.family in ("main", "odd", "almkvist") and (self.n is None or self.n < 0):
                 raise ValueError(f"expand --family {self.family} needs --n >= 0")
@@ -239,12 +241,17 @@ def _cmd_verify(config: RunConfig):
             uni = check_unimodal(p) if config.a is None else check_almost_unimodal(p, config.a)
             sym.n = uni.n = n
             reports.extend((sym, uni))
+        del p  # released before the stream builds the next row
     return reports
 
 
 def _cmd_lemma(config: RunConfig):
-    start = max(config.n_min, 1)
-    return [check_lemma_range(n, p) for n, p in enumerate(main_rows(config.n_max)) if n >= start]
+    start, reports = max(config.n_min, 1), []
+    for n, p in family_rows(ProductSpec.main(config.n_max)):
+        if n >= start:
+            reports.append(check_lemma_range(n, p))
+        del p  # released before the stream builds the next row
+    return reports
 
 
 def _cmd_induction(config: RunConfig):

@@ -252,19 +252,27 @@ def family_rows(spec: ProductSpec) -> Iterator[tuple[int | None, Polynomial]]:
     """Yield (n, row) for each row of the family ``spec`` names, up to ``spec.n``.
 
     ``main`` and ``odd`` start at n = 0 and ``almkvist`` at n = 1; a
-    ``general`` product is one row, tagged n = None.
+    ``general`` product is one row, tagged n = None. No reference to a row
+    is kept once the stream moves on (``enumerate`` would keep one), so a
+    consumer that drops its row before asking for the next holds one row
+    fewer while the next is built.
     """
     if spec.family == "main":
-        yield from enumerate(main_rows(spec.n))
+        rows, n = main_rows(spec.n), 0
     elif spec.family == "odd":
-        yield from enumerate(product_rows([(1, 2 * k - 1)] if k else [] for k in range(spec.n + 1)))
+        rows, n = product_rows([(1, 2 * k - 1)] if k else [] for k in range(spec.n + 1)), 0
     elif spec.family == "almkvist":
-        yield from enumerate(product_rows([(1, n, spec.r)] for n in range(1, spec.n + 1)), start=1)
+        rows, n = product_rows([(1, k, spec.r)] for k in range(1, spec.n + 1)), 1
     elif spec.family == "general":
         (p,) = product_rows([spec.factors])
         yield None, p
+        return
     else:
         raise ValueError(f"unknown product family {spec.family!r}")
+    for p in rows:
+        yield n, p
+        del p
+        n += 1
 
 
 def build_product(spec: ProductSpec) -> Polynomial:

@@ -127,6 +127,24 @@ class TestCoeffByIntegral:
         with pytest.raises(GridTooCoarse):
             coeff_by_integral(13, 0)
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_half_row_in_one_pass_rounds_to_exact(self, n):
+        exact = oracles.naive_product(oracles.main_factors(n))
+        half = len(exact) // 2 + 1
+        approx = coeff_by_integral(n, range(half))
+        assert isinstance(approx, np.ndarray) and approx.shape == (half,)
+        assert [round(v) for v in approx.tolist()] == exact[:half]
+
+    @pytest.mark.parametrize("n,m", [(0, 1), (3, 0), (5, 17), (8, 40), (8, 120), (12, 7)])
+    def test_one_index_sequence_matches_the_scalar_bits(self, n, m):
+        scalar = coeff_by_integral(n, m)
+        assert type(scalar) is float
+        assert coeff_by_integral(n, [m])[0] == scalar
+
+    def test_out_of_range_m_in_a_sequence(self):
+        with pytest.raises(ValueError):
+            coeff_by_integral(2, [0, 28])
+
 
 class TestMuOf:
     def test_in_window(self):
@@ -253,6 +271,13 @@ class TestGammaTail:
         x = 500.0
         want = oracles.upper_gamma_three_halves_asymptotic(x)
         assert gamma_tail(x) == pytest.approx(want, rel=1e-6)
+
+    def test_matches_mpmath_to_machine_precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        xs = [0.5 * i for i in range(1401)] + [GAUSSIAN_RATE * 168**3 / 506**2]
+        with mpmath.workdps(40):
+            worst = max(abs(gamma_tail(x) / mpmath.gammainc(1.5, x) - 1) for x in xs)
+        assert worst <= 1e-15
 
     def test_scipy_cross_check(self):
         sp = pytest.importorskip("scipy.special")
@@ -381,6 +406,20 @@ class TestReconstructionSweep:
     def test_rows_above_twelve_are_refused(self):
         with pytest.raises(GridTooCoarse):
             reconstruction_sweep(13)
+
+    def test_one_quadrature_per_row(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return integrate_oscillatory(*args, **kwargs)
+
+        monkeypatch.setattr("qunimodal.analytic.integrate_oscillatory", counting)
+        reports = reconstruction_sweep(8)
+        assert all(r.passed for r in reports)
+        assert len(calls) == 9
+        # each row runs on the grid of its largest offset, mu = d at m = 0
+        assert calls == [2.0 * 3 * (n + 1) ** 2 for n in range(9)]
 
 
 class TestSignAccord:

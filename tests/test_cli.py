@@ -112,6 +112,12 @@ class TestStructuralCommands:
         assert code == 0
         assert len(report["results"]) == 5
 
+    def test_lemma_needs_a_row(self, capsys):
+        # the window check starts at n = 1, so n-max 0 would pass vacuously
+        code, _, err = run_cli(["lemma", "--n-min", "0", "--n-max", "0"], capsys)
+        assert code == 2
+        assert "n-max" in err
+
     def test_induction(self, tmp_path, capsys):
         code, report = run_report(["induction", "--n-max", "6"], tmp_path, capsys)
         assert code == 0

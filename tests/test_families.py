@@ -1,9 +1,11 @@
 """The row stream of every product family against the naive oracles."""
 
+import sys
+
 import pytest
 
 import oracles
-from qunimodal.polynomials import ProductSpec, build_product, family_rows
+from qunimodal.polynomials import ProductSpec, build_product, family_rows, mul_binomial
 
 
 def rows_of(spec):
@@ -36,6 +38,21 @@ class TestFamilyRows:
     def test_build_product_is_the_last_row(self, spec):
         *_, (_, last) = family_rows(spec)
         assert build_product(spec) == last
+
+    @pytest.mark.parametrize("spec", [ProductSpec.main(6), ProductSpec.odd(6), ProductSpec.almkvist(3, 6)])
+    def test_a_dropped_row_is_held_only_by_the_stream_extending_it(self, spec, monkeypatch):
+        # Every factor, whether it extends a row the consumer has seen or an
+        # intermediate product it never saw, finds its input held the same way.
+        counts = []
+
+        def spy(p, *args):
+            counts.append(sys.getrefcount(p))
+            return mul_binomial(p, *args)
+
+        monkeypatch.setattr("qunimodal.polynomials.mul_binomial", spy)
+        for _, p in family_rows(spec):
+            del p
+        assert len(counts) >= 6 and len(set(counts)) == 1
 
     def test_odd_spec_validation(self):
         with pytest.raises(ValueError):
