@@ -8,6 +8,7 @@ scans. The library must agree with these wherever the inputs overlap.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
@@ -139,9 +140,42 @@ def sign_violation(seq, pattern):
     return next((m for m, c in enumerate(seq) if c * pattern[m % len(pattern)] < 0), None)
 
 
+def _decimal_pi(digits: int) -> Decimal:
+    """pi = 16 arctan(1/5) - 4 arctan(1/239) (Machin), to ``digits`` digits."""
+
+    def arctan_inverse(k: int) -> Decimal:
+        total, power, j = Decimal(0), Decimal(1) / k, 0
+        while power > Decimal(1).scaleb(-digits - 2):
+            total += (-1) ** j * power / (2 * j + 1)
+            power /= k * k
+            j += 1
+        return total
+
+    with localcontext() as ctx:
+        ctx.prec = digits + 5
+        return 16 * arctan_inverse(5) - 4 * arctan_inverse(239)
+
+
 def upper_gamma_three_halves(x: float) -> float:
-    """Closed form for integral_x^inf sqrt(v) e^(-v) dv via erfc."""
-    return 0.5 * math.sqrt(math.pi) * math.erfc(math.sqrt(x)) + math.sqrt(x) * math.exp(-x)
+    """integral_x^inf sqrt(v) e^(-v) dv by the lower gamma power series, in decimal.
+
+    Gamma(3/2, x) = sqrt(pi)/2 - gamma(3/2, x), with
+    gamma(a, x) = x^a e^(-x) sum_k x^k / (a (a+1) ... (a+k)) (DLMF 8.7).
+    The sum grows to about e^x before the difference cancels it, so it
+    runs with 40 digits to spare beyond x / ln 10. No erfc is involved.
+    """
+    digits = 40 + int(x / 2.302585)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        v, a = Decimal(x), Decimal(3) / 2
+        term = total = 1 / a
+        k = 0
+        while term > total.scaleb(-digits):
+            k += 1
+            term = term * v / (a + k)
+            total += term
+        lower = v.sqrt() * v * (-v).exp() * total
+        return float(_decimal_pi(digits).sqrt() / 2 - lower)
 
 
 def upper_gamma_three_halves_asymptotic(x: float) -> float:

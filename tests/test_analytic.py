@@ -69,6 +69,60 @@ class TestQuadrature:
         assert r.abs_error_estimate >= 0.0
 
 
+# Integrands with a closed-form integral over [0, L] and top frequency f.
+def _exact_cos(f, L):
+    return math.sin(f * L) / f
+
+
+def _exact_x_sin(f, L):
+    return (math.sin(f * L) - f * L * math.cos(f * L)) / f**2
+
+
+def _exact_damped_sin(f, L):
+    return (f - math.exp(-L) * (math.sin(f * L) + f * math.cos(f * L))) / (1.0 + f**2)
+
+
+CLOSED_FORMS = {
+    "cos": (lambda f: lambda x: np.cos(f * x), _exact_cos),
+    "x_sin": (lambda f: lambda x: x * np.sin(f * x), _exact_x_sin),
+    "damped_sin": (lambda f: lambda x: np.exp(-x) * np.sin(f * x), _exact_damped_sin),
+}
+
+
+class TestErrorEstimate:
+    """abs_error_estimate bounds the true error, against closed forms and exact integrals."""
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    @pytest.mark.parametrize("f", [10.0, 333.0, 1e4, 1e5])
+    def test_bounds_error_at_stated_frequency(self, name, f):
+        integrand_at, exact = CLOSED_FORMS[name]
+        length = 1.3
+        r = integrate_oscillatory(integrand_at(f), 0.0, length, frequency=f)
+        assert length / r.panels <= math.pi / f  # fine panel: at most half a period
+        assert abs(r.value - exact(f, length)) <= r.abs_error_estimate
+
+    def test_bounds_error_of_each_row(self):
+        rates = np.array([10.0, 977.0, 3e4, 1e5])
+        length = 1.3
+        r = integrate_oscillatory(
+            lambda x: np.exp(-x) * np.sin(np.multiply.outer(rates, x)), 0.0, length, frequency=rates.max()
+        )
+        assert length / r.panels <= math.pi / rates.max()
+        for rate, value, estimate in zip(rates, r.value, r.abs_error_estimate):
+            assert abs(value - _exact_damped_sin(rate, length)) <= estimate
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_theta_kernel_within_estimate_of_exact_integral(self, n):
+        # pi * r is the exact full-range theta-kernel integral at each offset.
+        row = oracles.naive_product(oracles.main_factors(n))
+        degree = len(row) - 1
+        mus = list(range(2 - degree % 2, 6 * n + 4, 2))
+        r = quad_I(n, mus, 0.0, math.pi / 2)
+        for mu, value, estimate in zip(mus, r.value, r.abs_error_estimate):
+            exact = math.pi * float(oracles.theta_kernel_over_pi(row, mu))
+            assert abs(value - exact) <= estimate, mu
+
+
 class TestIntegrand:
     def test_zero_at_origin(self):
         assert integrand(3, 5.0, 0.0) == 0.0
@@ -262,10 +316,11 @@ class TestComparisonFactor:
 
 
 class TestGammaTail:
-    def test_matches_erfc_form(self):
+    def test_matches_decimal_series(self):
+        # The oracle sums the lower gamma series in decimal: no erfc, no float.
         for x in np.linspace(0.0, 200.0, 81):
             want = oracles.upper_gamma_three_halves(float(x))
-            assert gamma_tail(float(x)) == pytest.approx(want, rel=1e-9)
+            assert gamma_tail(float(x)) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_matches_asymptotic_series(self):
         x = 500.0

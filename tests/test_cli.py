@@ -307,7 +307,7 @@ class TestUnwritableOutput:
 class TestLargeLobeN:
     def test_grid_outrun_is_inconclusive_not_an_overflow(self, capsys):
         code, _, err = run_cli(
-            ["certify", "--n", "168", "--grid-points", "1000", "--i2-n", "1100", "--i2-mu", "7"], capsys
+            ["certify", "--n", "168", "--grid-points", "1000", "--i2-n", "1300", "--i2-mu", "7"], capsys
         )
         assert code == 3
-        assert "needs 14568412 panels" in err
+        assert "needs 2542152 panels" in err

@@ -96,6 +96,28 @@ class TestRowQuadrature:
             exact = (rate - math.exp(-3.0) * (math.sin(3.0 * rate) + rate * math.cos(3.0 * rate))) / (1.0 + rate ** 2)
             assert abs(result.value[row] - exact) <= result.abs_error_estimate[row]
 
+    @pytest.mark.parametrize(
+        "f, frequency",
+        [
+            (lambda x: np.sin(3000.0 * x), 3000.0),  # panel sums cancel to 1e-3 of their mass
+            (lambda x: np.exp(-690.0 * x) * np.sin(300.0 * x), 300.0),  # panel sums from 1 to 1e-298
+        ],
+    )
+    def test_value_is_the_correctly_rounded_sum_of_its_panel_sums(self, f, frequency):
+        # The reference is a plain loop: each panel's weighted node values
+        # added in node order, then one fsum over all panels.
+        result = integrate_oscillatory(f, 0.0, 1.0, frequency=frequency)
+        h = 1.0 / result.panels
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        panel_sums = []
+        for panel in range(result.panels):
+            values = f(panel * h + (nodes + 1.0) / 2.0 * h).tolist()
+            total = values[0] * weights[0]
+            for value, weight in zip(values[1:], weights[1:]):
+                total += value * weight
+            panel_sums.append(total)
+        assert result.value == math.fsum(panel_sums) * (h / 2.0)
+
 
 class TestLobeCertificates:
     def test_vector_form_matches_single_offsets(self):
