@@ -39,6 +39,7 @@ from .quadrature import QuadratureResult, integrate_oscillatory
 
 __all__ = [
     "BoundCertificate",
+    "MuInfo",
     "certify_E_bound",
     "coeff_by_integral",
     "cosine_product",
@@ -193,7 +194,7 @@ def integrand(n: int, mu, theta):
     return vals
 
 
-def quad_I(n: int, mu, a: float, b: float, max_panels: int = 1_000_000) -> QuadratureResult:
+def quad_I(n: int, mu, a: float, b: float) -> QuadratureResult:
     """Integrate the derivative kernel over [a, b] inside [0, pi/2].
 
     Over the full range this is (up to a positive prefactor) the
@@ -208,7 +209,7 @@ def quad_I(n: int, mu, a: float, b: float, max_panels: int = 1_000_000) -> Quadr
     if not (0.0 <= a < b <= math.pi / 2 + 1e-12):
         raise ValueError(f"limits must satisfy 0 <= a < b <= pi/2, got [{a}, {b}]")
     frequency = main_degree(n) + float(np.max(np.abs(mu)))
-    return integrate_oscillatory(lambda th: integrand(n, mu, th), a, b, frequency, max_panels)
+    return integrate_oscillatory(lambda th: integrand(n, mu, th), a, b, frequency)
 
 
 # Largest row whose coefficients double precision can rebuild from the integral.
@@ -223,7 +224,7 @@ def _reconstruction_guard(n: int) -> None:
         )
 
 
-def coeff_by_integral(n: int, m, max_panels: int = 1_000_000):
+def coeff_by_integral(n: int, m):
     """Reconstruct exact coefficients from the cosine product integral.
 
     ``m`` is one index, giving a float from the grid of its own offset
@@ -245,7 +246,6 @@ def coeff_by_integral(n: int, m, max_panels: int = 1_000_000):
         0.0,
         math.pi / 2,
         d + float(np.max(np.abs(mu))),
-        max_panels,
     )
     return (2.0 ** (2 * n + 3) / math.pi) * result.value
 
@@ -751,12 +751,12 @@ def sweep_inequality_margins(points: int = 10_000) -> list[BoundCertificate]:
 # lobe comparison and exact cross-checks
 
 
-def i2_ratio_check(n: int, mu: int, max_panels: int = 2_000_000) -> BoundCertificate:
+def i2_ratio_check(n: int, mu: int) -> BoundCertificate:
     """Certify |I2| <= f(n) I1 for one center offset mu; see :func:`lobe_ratio_certificates`."""
-    return lobe_ratio_certificates(n, [mu], max_panels)[0]
+    return lobe_ratio_certificates(n, [mu])[0]
 
 
-def lobe_ratio_certificates(n: int, mus, max_panels: int = 2_000_000) -> list[BoundCertificate]:
+def lobe_ratio_certificates(n: int, mus) -> list[BoundCertificate]:
     """Certify |I2| <= f(n) I1 for each center offset in ``mus``, in order.
 
     I1 is the derivative kernel integral over [0, pi/(6n+4)] and I2 the
@@ -786,8 +786,8 @@ def lobe_ratio_certificates(n: int, mus, max_panels: int = 2_000_000) -> list[Bo
     lobes: dict[int, tuple[QuadratureResult, QuadratureResult, int]] = {}
     for top, group in by_top.items():
         kernel = partial(integrand, n, group)
-        first = integrate_oscillatory(kernel, 0.0, split, degree + top, max_panels)
-        rest = integrate_oscillatory(kernel, split, math.pi / 2, degree + top, max_panels)
+        first = integrate_oscillatory(kernel, 0.0, split, degree + top)
+        rest = integrate_oscillatory(kernel, split, math.pi / 2, degree + top)
         lobes.update((mu, (first, rest, row)) for row, mu in enumerate(group))
     return [_lobe_certificate(n, mu, split, lobes.get(mu)) for mu in mus]
 
@@ -849,7 +849,7 @@ def _lobe_certificate(n: int, mu: int, split: float, lobes) -> BoundCertificate:
     )
 
 
-def reconstruction_sweep(n_max: int = 8, max_panels: int = 1_000_000) -> list[CheckReport]:
+def reconstruction_sweep(n_max: int = 8) -> list[CheckReport]:
     """Compare coeff_by_integral with the exact expansion for n <= n_max.
 
     Each row is one k-row quadrature of its indices m = 0..d//2, and
@@ -864,7 +864,7 @@ def reconstruction_sweep(n_max: int = 8, max_panels: int = 1_000_000) -> list[Ch
     for n, p in enumerate(main_rows(n_max)):
         d = main_degree(n)
         # Offsets mu and -mu share the integrand cos(mu theta) P(theta).
-        approx_at = coeff_by_integral(n, range(d // 2 + 1), max_panels).tolist()
+        approx_at = coeff_by_integral(n, range(d // 2 + 1)).tolist()
         worst = -1.0
         worst_m = 0
         for m, exact in enumerate(p.coeffs):
@@ -886,7 +886,7 @@ def reconstruction_sweep(n_max: int = 8, max_panels: int = 1_000_000) -> list[Ch
     return reports
 
 
-def sign_accord_sweep(n_max: int = 12, max_panels: int = 1_000_000) -> list[CheckReport]:
+def sign_accord_sweep(n_max: int = 12) -> list[CheckReport]:
     """Check the sign of quad_I against exact coefficient differences.
 
     For every valid center offset of every row up to n_max the full
@@ -910,7 +910,7 @@ def sign_accord_sweep(n_max: int = 12, max_panels: int = 1_000_000) -> list[Chec
         skipped = 0
         violation = None
         mus = list(range(2 - degree % 2, 6 * n + 4, 2))
-        result = quad_I(n, mus, 0.0, math.pi / 2, max_panels)
+        result = quad_I(n, mus, 0.0, math.pi / 2)
         for mu, value, error in zip(mus, result.value, result.abs_error_estimate):
             m = (degree - mu) // 2
             if abs(value) <= error:

@@ -13,10 +13,15 @@ Commands
   trig       identity residual and inequality margin sweeps
   sweep-f    comparison factor window, decrease, log derivative ceiling
 
+The parsed command line is the configuration: ``main(argv)`` parses,
+``validate`` checks and ``run`` executes one ``argparse.Namespace``, and
+a report's ``metadata.config`` holds its values that are not None.
+
 Exit codes: 0 every check passed; 1 a check failed or a certificate
-margin was nonpositive; 2 invalid configuration, or an output path that
-cannot be written; 3 certification inconclusive (a margin fell inside
-its error budget, or the quadrature budget was exhausted).
+margin was nonpositive; 2 invalid configuration, a request too large to
+allocate, or an output path that cannot be written; 3 certification
+inconclusive (a margin fell inside its error budget, or the quadrature
+budget was exhausted).
 
 Reports are JSON envelopes {"metadata": {...}, "results": [...]}. The
 results block is byte-reproducible for identical configurations; the
@@ -26,11 +31,9 @@ timestamp lives only in the metadata block.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__
@@ -65,119 +68,63 @@ from .polynomials import ProductSpec, build_product, dump_lines, family_rows, ma
 from .analytic import i2_ratio_check  # noqa: F401
 from .polynomials import mul_binomial, recurrence_step  # noqa: F401
 
-__all__ = ["RunConfig", "build_parser", "main", "run"]
+__all__ = ["build_parser", "main", "run", "validate"]
 
 
-@dataclass
-class RunConfig:
-    command: str
-    family: str = "main"
-    n: int | None = None
-    n_min: int = 0
-    n_max: int = 167
-    r: int | None = None
-    a: int | None = None
-    factors: tuple[tuple[int, int], ...] | None = None
-    n_list: tuple[int, ...] = (168, 300, 1000, 5000)
-    grid_points: int = 20000
-    samples: int = 1000
-    seed: int = 20260822
-    i2_n: int = 168
-    i2_mu: tuple[int, ...] = ()
-    with_gamma_tail: bool = False
-    sign_accord: bool = False
-    max_panels: int = 1_000_000
-    out: str = "-"
-    report: str = "-"
-    plot_csv: str | None = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        values = vars(args).copy()
-        command = values.pop("command")
-        if values.get("factors") is not None:
-            values["factors"] = _parse_factors(values["factors"])
-        if values.get("n_list") is not None:
-            values["n_list"] = _parse_int_list(values["n_list"], "n")
-        if values.get("i2_mu") is not None:
-            values["i2_mu"] = _parse_int_list(values["i2_mu"], "i2-mu")
-        known = {f.name for f in dataclasses.fields(cls)}
-        config = cls(command=command, **{k: v for k, v in values.items() if k in known and v is not None})
-        config.validate()
-        return config
-
-    def validate(self) -> None:
-        if self.command in ("verify", "lemma", "borwein", "almkvist"):
-            if self.n_min < 0 or self.n_min > self.n_max:
-                raise ValueError(f"need 0 <= n_min <= n_max, got [{self.n_min}, {self.n_max}]")
-        if self.command == "almkvist" and self.family != "almkvist":
-            raise ValueError("the almkvist command checks the quotient family only")
-        wants_quotient = self.command in ("expand", "verify", "almkvist") and self.family == "almkvist"
-        if wants_quotient and (self.r is None or self.r < 2):
-            raise ValueError("the quotient family needs --r >= 2")
-        if wants_quotient and self.command != "expand" and self.n_max < 1:
-            raise ValueError("the quotient family starts at n = 1; need --n-max >= 1")
-        if self.command == "lemma" and self.n_max < 1:
-            raise ValueError("the lemma's window check starts at n = 1; need --n-max >= 1")
-        if self.command == "expand":
-            if self.family in ("main", "odd", "almkvist") and (self.n is None or self.n < 0):
-                raise ValueError(f"expand --family {self.family} needs --n >= 0")
-            if self.family == "almkvist" and self.n < 1:
-                raise ValueError("the quotient family needs --n >= 1")
-            if self.family == "general" and not self.factors:
-                raise ValueError("expand --family general needs --factors")
-        if self.command == "verify":
-            if self.family not in ("main", "odd", "general", "almkvist"):
-                raise ValueError(f"unknown verify family {self.family!r}")
-            if self.family == "general" and not self.factors:
-                raise ValueError("verify --family general needs --factors")
-            if self.a is not None and self.a < 0:
-                raise ValueError("--a must be >= 0")
-        if self.command == "induction" and self.n_max < 0:
-            raise ValueError("--n-max must be >= 0")
-        if self.command == "integral" and self.n is not None and self.n < 0:
-            raise ValueError("--n must be >= 0")
-        if self.command == "certify":
-            if not self.n_list:
-                raise ValueError("certify needs at least one n")
-            if min(self.n_list) < 168:
-                raise ValueError("the envelope bound is claimed for n >= 168 only")
-            if self.grid_points < 1000:
-                raise ValueError("certification needs --grid-points >= 1000")
-            if any(mu < 0 for mu in self.i2_mu):
-                raise ValueError("--i2-mu entries must be >= 0")
-            if self.i2_n < 1:
-                raise ValueError("--i2-n must be >= 1")
-        if self.command == "trig":
-            if self.samples < 1:
-                raise ValueError("--samples must be >= 1")
-            if self.grid_points < 10:
-                raise ValueError("--grid-points must be >= 10")
-            if self.seed < 0:
-                raise ValueError("--seed must be >= 0")
-        if self.command == "sweep-f":
-            if not 168 <= self.n_min < self.n_max:
-                raise ValueError("sweep-f needs 168 <= n_min < n_max")
-        if self.max_panels < 2:
-            raise ValueError("--max-panels must be >= 2")
-
-    def to_json_dict(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            if isinstance(value, tuple):
-                value = [list(v) if isinstance(v, tuple) else v for v in value]
-            out[f.name] = value
-        return out
+def validate(config: argparse.Namespace) -> None:
+    """Reject a parsed command line that no command can run; raises ValueError."""
+    command = config.command
+    if command in ("verify", "lemma", "borwein", "almkvist"):
+        if config.n_min < 0 or config.n_min > config.n_max:
+            raise ValueError(f"need 0 <= n_min <= n_max, got [{config.n_min}, {config.n_max}]")
+    wants_quotient = command in ("expand", "verify", "almkvist") and config.family == "almkvist"
+    if wants_quotient and (config.r is None or config.r < 2):
+        raise ValueError("the quotient family needs --r >= 2")
+    if wants_quotient and command != "expand" and config.n_max < 1:
+        raise ValueError("the quotient family starts at n = 1; need --n-max >= 1")
+    if command == "lemma" and config.n_max < 1:
+        raise ValueError("the lemma's window check starts at n = 1; need --n-max >= 1")
+    if command == "expand":
+        if config.family in ("main", "odd", "almkvist") and (config.n is None or config.n < 0):
+            raise ValueError(f"expand --family {config.family} needs --n >= 0")
+        if config.family == "almkvist" and config.n < 1:
+            raise ValueError("the quotient family needs --n >= 1")
+        if config.family == "general" and not config.factors:
+            raise ValueError("expand --family general needs --factors")
+    if command == "verify":
+        if config.family == "general" and not config.factors:
+            raise ValueError("verify --family general needs --factors")
+        if config.a is not None and config.a < 0:
+            raise ValueError("--a must be >= 0")
+    if command == "induction" and config.n_max < 0:
+        raise ValueError("--n-max must be >= 0")
+    if command == "integral" and config.n is not None and config.n < 0:
+        raise ValueError("--n must be >= 0")
+    if command == "certify":
+        if not config.n_list:
+            raise ValueError("certify needs at least one n")
+        if min(config.n_list) < 168:
+            raise ValueError("the envelope bound is claimed for n >= 168 only")
+        if config.grid_points < 1000:
+            raise ValueError("certification needs --grid-points >= 1000")
+        if any(mu < 0 for mu in config.i2_mu):
+            raise ValueError("--i2-mu entries must be >= 0")
+        if config.i2_n < 1:
+            raise ValueError("--i2-n must be >= 1")
+    if command == "trig":
+        if config.samples < 1:
+            raise ValueError("--samples must be >= 1")
+        if config.grid_points < 10:
+            raise ValueError("--grid-points must be >= 10")
+        if config.seed < 0:
+            raise ValueError("--seed must be >= 0")
+    if command == "sweep-f" and not 168 <= config.n_min < config.n_max:
+        raise ValueError("sweep-f needs 168 <= n_min < n_max")
 
 
-def _parse_factors(text) -> tuple[tuple[int, int], ...]:
-    if isinstance(text, tuple):
-        return text
+def _parse_factors(text: str) -> tuple[tuple[int, int], ...]:
     factors = []
-    for token in str(text).split(","):
+    for token in text.split(","):
         token = token.strip()
         if not token:
             continue
@@ -187,22 +134,20 @@ def _parse_factors(text) -> tuple[tuple[int, int], ...]:
             sign = 1 if token[0] == "+" else -1
             body = token[1:]
         if not body.isdigit() or int(body) < 1:
-            raise ValueError(f"bad factor token {token!r} (expected e.g. '+3' or '-5')")
+            raise argparse.ArgumentTypeError(f"bad factor token {token!r} (expected e.g. '+3' or '-5')")
         factors.append((sign, int(body)))
     if not factors:
-        raise ValueError("no factors given")
+        raise argparse.ArgumentTypeError("no factors given")
     return tuple(factors)
 
 
-def _parse_int_list(text, label: str) -> tuple[int, ...]:
-    if isinstance(text, tuple):
-        return text
+def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(tok) for tok in str(text).split(",") if tok.strip())
+        values = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
-        raise ValueError(f"bad --{label} list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad list {text!r}") from exc
     if not values:
-        raise ValueError(f"empty --{label} list")
+        raise argparse.ArgumentTypeError("empty list")
     return values
 
 
@@ -215,7 +160,7 @@ def _sink(path: str):
             yield fh
 
 
-def _product_spec(config: RunConfig, n: int) -> ProductSpec:
+def _product_spec(config: argparse.Namespace, n: int) -> ProductSpec:
     if config.family == "main":
         return ProductSpec.main(n)
     if config.family == "odd":
@@ -227,13 +172,13 @@ def _product_spec(config: RunConfig, n: int) -> ProductSpec:
     raise ValueError(f"unknown family {config.family!r}")
 
 
-def _cmd_expand(config: RunConfig):
+def _cmd_expand(config: argparse.Namespace):
     p = build_product(_product_spec(config, config.n))
     with _sink(config.out) as fh:
         fh.writelines(line + "\n" for line in dump_lines(p))
 
 
-def _cmd_verify(config: RunConfig):
+def _cmd_verify(config: argparse.Namespace):
     reports = []
     for n, p in family_rows(_product_spec(config, config.n_max)):
         if n is None or n >= config.n_min:
@@ -245,7 +190,7 @@ def _cmd_verify(config: RunConfig):
     return reports
 
 
-def _cmd_lemma(config: RunConfig):
+def _cmd_lemma(config: argparse.Namespace):
     start, reports = max(config.n_min, 1), []
     for n, p in family_rows(ProductSpec.main(config.n_max)):
         if n >= start:
@@ -254,11 +199,11 @@ def _cmd_lemma(config: RunConfig):
     return reports
 
 
-def _cmd_induction(config: RunConfig):
+def _cmd_induction(config: argparse.Namespace):
     return [replay_induction(config.n_max)]
 
 
-def _cmd_borwein(config: RunConfig):
+def _cmd_borwein(config: argparse.Namespace):
     reports = []
     for n, p in enumerate(main_rows(config.n_max, sign=-1)):
         if n >= config.n_min:
@@ -278,31 +223,31 @@ def _write_envelope_csv(n: int, grid_points: int, path: str) -> None:
             fh.write(f"{float(theta)!r},{float(value)!r},{bound!r}\n")
 
 
-def _cmd_certify(config: RunConfig):
+def _cmd_certify(config: argparse.Namespace):
     results = [certify_E_bound(n, config.grid_points) for n in config.n_list]
     if config.plot_csv:
         _write_envelope_csv(config.n_list[0], config.grid_points, config.plot_csv)
     if config.with_gamma_tail:
         results.extend(gamma_tail_certificates())
-    results.extend(lobe_ratio_certificates(config.i2_n, config.i2_mu, config.max_panels))
+    results.extend(lobe_ratio_certificates(config.i2_n, config.i2_mu))
     return results
 
 
-def _cmd_integral(config: RunConfig):
+def _cmd_integral(config: argparse.Namespace):
     if config.sign_accord:
         n_max = config.n if config.n is not None else 12
-        return sign_accord_sweep(n_max, config.max_panels)
+        return sign_accord_sweep(n_max)
     n_max = config.n if config.n is not None else 8
-    return reconstruction_sweep(n_max, config.max_panels)
+    return reconstruction_sweep(n_max)
 
 
-def _cmd_trig(config: RunConfig):
+def _cmd_trig(config: argparse.Namespace):
     certificates = sweep_identity_residuals(config.samples, config.seed)
     certificates.extend(sweep_inequality_margins(config.grid_points))
     return certificates
 
 
-def _cmd_sweep_f(config: RunConfig):
+def _cmd_sweep_f(config: argparse.Namespace):
     certificates = f_sweep_certificates(config.n_min, config.n_max)
     if config.plot_csv:
         with _sink(config.plot_csv) as fh:
@@ -338,12 +283,12 @@ def _exit_code(results) -> int:
     return 3 if inconclusive else 0
 
 
-def _write_report(config: RunConfig, results) -> None:
+def _write_report(config: argparse.Namespace, results) -> None:
     envelope = {
         "metadata": {
             "version": __version__,
             "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "config": config.to_json_dict(),
+            "config": {k: v for k, v in vars(config).items() if v is not None},
         },
         "results": [r.to_json_dict() for r in results],
     }
@@ -352,8 +297,8 @@ def _write_report(config: RunConfig, results) -> None:
         fh.write(text)
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured command; returns the process exit code."""
+def run(config: argparse.Namespace) -> int:
+    """Execute one parsed and validated command; returns the process exit code."""
     handler = _HANDLERS[config.command]
     try:
         results = handler(config)
@@ -364,6 +309,9 @@ def run(config: RunConfig) -> int:
         return 3
     except ValueError as exc:
         print(f"qunimodal {config.command}: invalid request: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a grid or sweep too large to hold
+        print(f"qunimodal {config.command}: invalid request: cannot allocate: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # an output path (--out, --report, --plot-csv) that cannot be written
         print(f"qunimodal {config.command}: cannot write output: {exc}", file=sys.stderr)
@@ -391,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     expand.add_argument("--family", default="main", choices=("main", "general", "almkvist", "odd"))
     expand.add_argument("--n", type=int, default=None)
     expand.add_argument("--r", type=int, default=None)
-    expand.add_argument("--factors", default=None, metavar="LIST",
+    expand.add_argument("--factors", type=_parse_factors, default=None, metavar="LIST",
                         help="comma separated signed exponents, e.g. '+1,+2,-5'")
     expand.add_argument("--out", default="-", metavar="PATH")
 
@@ -402,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--a", type=int, default=None,
                         help="trim count: use the almost-unimodal window check")
     verify.add_argument("--r", type=int, default=None)
-    verify.add_argument("--factors", default=None, metavar="LIST")
+    verify.add_argument("--factors", type=_parse_factors, default=None, metavar="LIST")
     with_report(verify)
 
     lemma = sub.add_parser("lemma", help="central window monotonicity sweep")
@@ -423,19 +371,18 @@ def build_parser() -> argparse.ArgumentParser:
     almkvist.add_argument("--r", type=int, required=True)
     almkvist.add_argument("--n-min", type=int, default=11)
     almkvist.add_argument("--n-max", type=int, default=40)
-    almkvist.set_defaults(family="almkvist")
+    almkvist.set_defaults(family="almkvist", a=None)
     with_report(almkvist)
 
     certify = sub.add_parser("certify", help="grid certificates for the envelope exponent")
-    certify.add_argument("--n", dest="n_list", default="168,300,1000,5000", metavar="LIST",
+    certify.add_argument("--n", dest="n_list", type=_parse_int_list, default="168,300,1000,5000", metavar="LIST",
                          help="comma separated n values (each >= 168)")
     certify.add_argument("--grid-points", type=int, default=20000)
     certify.add_argument("--gamma-tail", dest="with_gamma_tail", action="store_true",
                          help="also certify the incomplete gamma tail anchors")
     certify.add_argument("--i2-n", type=int, default=168)
-    certify.add_argument("--i2-mu", default=None, metavar="LIST",
+    certify.add_argument("--i2-mu", type=_parse_int_list, default=(), metavar="LIST",
                          help="comma separated center offsets for the lobe ratio check")
-    certify.add_argument("--max-panels", type=int, default=2_000_000)
     certify.add_argument("--plot-csv", default=None, metavar="PATH",
                          help="write theta,exponent,bound rows for the first n")
     with_report(certify)
@@ -445,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="sweep rows 0..n (default 8, or 12 with --sign-accord)")
     integral.add_argument("--sign-accord", action="store_true",
                           help="compare quad_I signs with exact differences")
-    integral.add_argument("--max-panels", type=int, default=1_000_000)
     with_report(integral)
 
     trig = sub.add_parser("trig", help="identity residuals and inequality margins")
@@ -465,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    config = build_parser().parse_args(argv)
     try:
-        config = RunConfig.from_args(args)
+        validate(config)
     except ValueError as exc:
         print(f"qunimodal: invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,15 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "AlmkvistDivisionInexact",
+    "DegreeMismatch",
+    "DomainViolation",
+    "GridTooCoarse",
+    "NearSingular",
+    "SingularPoint",
+    "ToolkitError",
+]
+
 
 class ToolkitError(Exception):
     """Base class for toolkit-specific failures."""

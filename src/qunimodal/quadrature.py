@@ -41,6 +41,10 @@ _OFFSETS = (_NODES + 1.0) / 2.0
 _CHUNK_VALUES = 65536
 _MIN_CHUNK_PANELS = 64
 
+# Fine panels one integral may use. The default commands need at most a
+# few hundred; the lobe ratio check reaches it only above n = 1152.
+_MAX_PANELS = 2_000_000
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -120,13 +124,7 @@ def _composite(f: Callable, a: float, b: float, panels: int) -> tuple[np.ndarray
     return value, total_abs, many
 
 
-def integrate_oscillatory(
-    f: Callable,
-    a: float,
-    b: float,
-    frequency: float,
-    max_panels: int = 1_000_000,
-) -> QuadratureResult:
+def integrate_oscillatory(f: Callable, a: float, b: float, frequency: float) -> QuadratureResult:
     """Integrate ``f`` over [a, b], resolving oscillations up to ``frequency``.
 
     ``f`` must accept a numpy array of evaluation points and return the
@@ -134,17 +132,17 @@ def integrate_oscillatory(
     or as k rows of it, shape (k, len(x)); in the second case the value
     and the error estimate are arrays with one entry per row. A fine
     panel spans at most half a period of ``frequency``; more than
-    ``max_panels`` fine panels raise :class:`GridTooCoarse`.
+    2,000,000 fine panels raise :class:`GridTooCoarse`.
     """
     if not b > a:
         raise ValueError(f"integration range [{a}, {b}] is empty")
     width = 2.0 * math.pi / max(float(frequency), 1.0)
     base = max(1, math.ceil((b - a) / width))
     fine = 2 * base
-    if fine > max_panels:
+    if fine > _MAX_PANELS:
         raise GridTooCoarse(
             f"resolving frequency {frequency} over [{a:.6g}, {b:.6g}] needs "
-            f"{fine} panels, budget is {max_panels}"
+            f"{fine} panels, budget is {_MAX_PANELS}"
         )
     coarse_value, _, _ = _composite(f, a, b, base)
     fine_value, fine_abs, many = _composite(f, a, b, fine)

@@ -31,7 +31,7 @@ from qunimodal.analytic import (
     sweep_inequality_margins,
 )
 from qunimodal.checks import check_almost_unimodal, check_symmetric, check_unimodal
-from qunimodal.cli import RunConfig, run
+from qunimodal.cli import main
 from qunimodal.polynomials import (
     Polynomial,
     ProductSpec,
@@ -63,8 +63,7 @@ def test_02_full_family_verification(tmp_path):
 
     def passed_all(command):
         report_path = tmp_path / f"{command}.json"
-        config = RunConfig(command=command, n_max=167, report=str(report_path))
-        code = run(config)
+        code = main([command, "--n-max", "167", "--report", str(report_path)])
         results = json.loads(report_path.read_text())["results"]
         return code == 0 and results and all(r["passed"] for r in results)
 

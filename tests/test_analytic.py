@@ -61,7 +61,7 @@ class TestQuadrature:
 
     def test_panel_budget(self):
         with pytest.raises(GridTooCoarse):
-            integrate_oscillatory(np.cos, 0.0, 1.0, frequency=1e6, max_panels=100)
+            integrate_oscillatory(np.cos, 0.0, 1.0, frequency=1e7)
 
     def test_result_fields(self):
         r = integrate_oscillatory(np.cos, 0.0, 1.0, frequency=2.0)
@@ -158,7 +158,7 @@ class TestQuadI:
 
     def test_panel_budget(self):
         with pytest.raises(GridTooCoarse):
-            quad_I(12, 1, 0.0, math.pi / 2, max_panels=50)
+            quad_I(1300, 7, 0.0, math.pi / 2)
 
 
 class TestCoeffByIntegral:
@@ -215,7 +215,7 @@ class TestMuOf:
 
 class TestI1LowerBound:
     def test_formula(self):
-        assert i1_lower_bound(200, 7.0) == pytest.approx(0.0583 * 7.0 * 200.0**-4.5, rel=1e-15)
+        assert i1_lower_bound(200, 7.0) == pytest.approx(0.0583 * 7.0 * 200.0**-4.5, rel=1e-15, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -325,7 +325,7 @@ class TestGammaTail:
     def test_matches_asymptotic_series(self):
         x = 500.0
         want = oracles.upper_gamma_three_halves_asymptotic(x)
-        assert gamma_tail(x) == pytest.approx(want, rel=1e-6)
+        assert gamma_tail(x) == pytest.approx(want, rel=1e-6, abs=0.0)
 
     def test_matches_mpmath_to_machine_precision(self):
         mpmath = pytest.importorskip("mpmath")
@@ -338,7 +338,7 @@ class TestGammaTail:
         sp = pytest.importorskip("scipy.special")
         for x in (0.5, 3.0, 25.0, 71.0):
             want = float(sp.gammaincc(1.5, x)) * math.gamma(1.5)
-            assert gamma_tail(x) == pytest.approx(want, rel=1e-12)
+            assert gamma_tail(x) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_anchors(self):
         assert gamma_tail(0.0) == pytest.approx(GAMMA_THREE_HALVES, abs=1e-15)

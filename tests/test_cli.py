@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from qunimodal.cli import RunConfig, main
+from qunimodal import cli
+from qunimodal.cli import main
 
 
 def run_cli(args, capsys):
@@ -145,10 +146,6 @@ class TestStructuralCommands:
         assert report["results"] == same["results"]
         assert report["metadata"]["config"]["family"] == "almkvist"
 
-    def test_almkvist_config_must_name_the_quotient_family(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="almkvist", r=3).validate()
-
     def test_almkvist_needs_r(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["almkvist", "--n-max", "12"])
@@ -215,11 +212,6 @@ class TestAnalyticCommands:
 
     def test_integral_above_twelve_is_inconclusive(self, capsys):
         code, _, err = run_cli(["integral", "--n", "13"], capsys)
-        assert code == 3
-        assert "inconclusive" in err
-
-    def test_integral_budget_exhaustion(self, capsys):
-        code, _, err = run_cli(["integral", "--n", "8", "--max-panels", "10"], capsys)
         assert code == 3
         assert "inconclusive" in err
 
@@ -311,3 +303,46 @@ class TestLargeLobeN:
         )
         assert code == 3
         assert "needs 2542152 panels" in err
+
+
+class TestConfigFromParser:
+    def test_each_command_records_its_own_defaults(self, tmp_path, capsys):
+        _, trig = run_report(["trig", "--samples", "5"], tmp_path, capsys)
+        assert (trig["metadata"]["config"]["grid_points"], trig["metadata"]["config"]["seed"]) == (10000, 20260822)
+        _, certify = run_report(["certify", "--n", "168"], tmp_path, capsys)
+        config = certify["metadata"]["config"]
+        assert config["grid_points"] == 20000
+        assert config["n_list"] == [168] and config["i2_mu"] == []
+
+    def test_a_report_carries_only_its_commands_options(self, tmp_path, capsys):
+        _, report = run_report(["verify", "--n-max", "3"], tmp_path, capsys)
+        config = report["metadata"]["config"]
+        assert config == {"command": "verify", "family": "main", "n_min": 0, "n_max": 3,
+                          "report": config["report"]}
+
+    def test_almkvist_records_the_quotient_family(self, tmp_path, capsys):
+        _, report = run_report(["almkvist", "--r", "3", "--n-max", "12"], tmp_path, capsys)
+        config = report["metadata"]["config"]
+        assert (config["family"], config["n_min"], config["n_max"]) == ("almkvist", 11, 12)
+        assert "a" not in config
+
+    @pytest.mark.parametrize("flag", ["--n=168,x", "--i2-mu=", "--max-panels=10"])
+    def test_bad_certify_options_exit_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", flag])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+
+class TestTooLargeToAllocate:
+    def test_exits_2_without_a_traceback(self, monkeypatch, capsys):
+        def refuse(n, grid_points):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        # Raised in place of the allocation: a real one could be granted
+        # by an overcommitting kernel and kill the process later.
+        monkeypatch.setattr(cli, "certify_E_bound", refuse)
+        code, _, err = run_cli(["certify", "--n", "168", "--grid-points", "100000000000"], capsys)
+        assert code == 2
+        assert "invalid request: cannot allocate" in err
+        assert "Traceback" not in err
