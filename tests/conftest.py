@@ -1,3 +1,11 @@
+import os
+from pathlib import Path
+
+# pyproject's pythonpath puts src on this process's path; a child process
+# that runs `python -m qunimodal.cli` imports the same checkout through this.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+
 ACCEPTANCE_LINES: list[str] = []
 
 

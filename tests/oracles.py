@@ -2,7 +2,8 @@
 
 Everything in this file is deliberately naive and independent of the
 package internals: full convolution products, closed forms, brute force
-scans. The library must agree with these wherever the inputs overlap.
+scans, a replay of a seeded sweep's draws. The library must agree with
+these wherever the inputs overlap.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+
+import numpy as np
 
 
 def convolve(a: list[int], b: list[int]) -> list[int]:
@@ -186,3 +189,25 @@ def upper_gamma_three_halves_asymptotic(x: float) -> float:
     inv = 1.0 / x
     series = 1.0 + 0.5 * inv - 0.25 * inv * inv + 0.375 * inv ** 3
     return math.sqrt(x) * math.exp(-x) * series
+
+
+def identity_draws(seed: int, samples: int) -> dict[str, tuple[list, list]]:
+    """Replay of the identity sweep's draws: (accepted, rejected) (n, x) pairs per identity.
+
+    One generator serves both identities in turn. A draw is n uniform on
+    [1, 10000] and x uniform on [1e-3, pi - 1e-3]; it is redrawn when
+    |sin x| < 1e-3, or for sin4_sum when |sin 2x| < 1e-3, until
+    ``samples`` are accepted.
+    """
+    rng = np.random.default_rng(seed)
+    draws = {}
+    for identity in ("sin2_sum", "sin4_sum"):
+        accepted, rejected = [], []
+        while len(accepted) < samples:
+            n = int(rng.integers(1, 10_001))
+            x = float(rng.uniform(1e-3, math.pi - 1e-3))
+            floors = (x, 2.0 * x) if identity == "sin4_sum" else (x,)
+            near_zero = any(abs(math.sin(angle)) < 1e-3 for angle in floors)
+            (rejected if near_zero else accepted).append((n, x))
+        draws[identity] = accepted, rejected
+    return draws

@@ -12,6 +12,7 @@ import pytest
 from qunimodal.analytic import (
     GAMMA_THREE_HALVES,
     GAUSSIAN_RATE,
+    IDENTITY_IDS,
     certify_E_bound,
     coeff_by_integral,
     cosine_product,
@@ -36,6 +37,7 @@ from qunimodal.analytic import (
     trig_identity_residual,
     trig_inequality_margin,
 )
+from qunimodal.analytic import _sin_multiple, _sine_power_sum, _sines
 from qunimodal.errors import (
     DomainViolation,
     GridTooCoarse,
@@ -395,6 +397,44 @@ class TestTrigIdentities:
         b = sweep_identity_residuals(60, seed=7)
         assert [c.min_margin for c in a] == [c.min_margin for c in b]
         assert all(c.passed for c in a)
+
+    @pytest.mark.parametrize("x", [1e-3, math.pi - 1e-3, math.pi / 2 - 5.1e-4, 1.234, 2.7492])
+    def test_blocked_sines_match_mpmath(self, x):
+        # x near pi/2 puts |sin 2x| at its 1e-3 floor.
+        mpmath = pytest.importorskip("mpmath")
+        sines = _sines(10_000, x).tolist()
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(x)
+            worst = max(abs(mpmath.sin(k * xm) - s) for k, s in enumerate(sines, start=1))
+        assert worst <= 4 * 2.0 ** -52
+
+    @pytest.mark.parametrize("n", [1, 7, 127])
+    def test_small_n_sines_are_bit_equal(self, n):
+        # Below one block the rotation is by sin 0 = 0, cos 0 = 1, so the
+        # direct sums of test_exact_at_small_n are those of _sin_multiple.
+        for x in (0.3, 1.234, 2.9):
+            assert _sines(n, x).tobytes() == _sin_multiple(np.arange(1, n + 1), x)[0].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 10_000])
+    @pytest.mark.parametrize("x", [1.234, math.pi / 64])
+    def test_direct_sum_is_correctly_rounded(self, n, x):
+        squares = _sines(n, x) ** 2
+        fourths = squares ** 2
+        if x == math.pi / 64 and n >= 64:  # k = 64 sits on the float pi
+            assert fourths.min() < 1e-30
+        assert _sine_power_sum(n, x, 2) == math.fsum(squares.tolist())
+        assert _sine_power_sum(n, x, 4) == math.fsum(fourths.tolist())
+
+    def test_draws_follow_the_rejection_loop(self):
+        # Seed 35 redraws one sin4_sum sample whose |sin 2x| is below the floor.
+        draws = oracles.identity_draws(35, 200)
+        assert [len(draws[i][1]) for i in IDENTITY_IDS] == [0, 1]
+        for identity, cert in zip(IDENTITY_IDS, sweep_identity_residuals(200, seed=35)):
+            accepted = draws[identity][0]
+            assert cert.grid_points == len(accepted) == 200
+            worst = (cert.detail["worst_n"], cert.argmin)
+            assert worst in accepted
+            assert abs(trig_identity_residual(identity, *worst)) == cert.detail["max_abs_residual"]
 
 
 class TestTrigInequalities:
