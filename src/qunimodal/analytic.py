@@ -18,6 +18,12 @@ complementary numerical evidence for the general argument:
 
 Certificates pair every minimum margin with an explicit error budget;
 a claim counts as certified only when the margin clears the budget.
+
+The cosine product behind every integral rotates a table of 16 factor
+cosines by block starts (:func:`cosine_product`): each cosine carries
+the rounding of two angles, 6*16*m*theta and (6j+3)*theta, plus a few
+ulps from the rotation, and the first block of 16 factors is the plain
+fold bit for bit.
 """
 
 from __future__ import annotations
@@ -100,6 +106,11 @@ GAMMA_THREE_HALVES = math.sqrt(math.pi) / 2.0
 # n = 168 threshold value of its argument.
 GAMMA_TAIL_CEILING = 1.29e-30
 
+# cosine_product rotates a table of this many factor angles per block and
+# takes at most this many angles at a time.
+_COSINE_BLOCK = 16
+_COSINE_SLICE = 1024
+
 SIN_FLOOR = 1e-3
 # Envelope grid points with a sine denominator closer to zero than this are moved.
 ENVELOPE_SINGULAR_TOL = 1e-12
@@ -158,26 +169,57 @@ def cosine_product(n: int, theta):
 
     Each pair of factors folds into one through the product-to-sum
     identity cos((3k+1) t) cos((3k+2) t) = (cos t + cos((6k+3) t)) / 2,
-    so the product is 2^-(n+1) prod_k (cos t + cos((6k+3) t)): n+2 cosine
-    evaluations per point instead of 2n+2. Every argument is still an
-    exact integer multiple of theta times one rounding, as in the plain
-    product. A folded factor reaches 2, so the exact scaling 2^-512 is
-    applied after every 512 of them: the running product stays below
-    2^512 and never overflows, and for n < 511 only the final scaling is
-    left.
+    so the product is 2^-(n+1) prod_k (cos t + cos((6k+3) t)). With
+    k = Bm + j, B = ``_COSINE_BLOCK``, the cosine comes from one table of
+    (6j+3) t, j < B, rotated by the block start 6Bmt:
+    cos((6k+3) t) = cos(6Bmt) cos((6j+3) t) - sin(6Bmt) sin((6j+3) t).
+    A point costs 1 + 2B + 2 floor(n/B) transcendentals (53 at n = 168)
+    instead of n+2 (170). Each rotated cosine carries the rounding of the
+    two angles 6Bmt and (6j+3)t, each an exact integer multiple of theta
+    rounded once, plus a few ulps from the rotation. The first block is
+    the plain fold bit for bit, and needs no sine table, so every n < B
+    gives the plain fold's values.
+
+    A folded factor reaches 2, so the exact scaling 2^-512 is applied
+    after every 512 of them: the running product stays below 2^512 and
+    never overflows, and for n < 511 only the final scaling is left.
+    Angles are taken ``_COSINE_SLICE`` at a time, so the two tables take
+    256 KB; every step is elementwise, so a value does not depend on its
+    slice.
     """
     th = np.asarray(theta, dtype=float)
+    out = np.empty_like(th)
+    flat_th, flat_out = th.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_th.size, _COSINE_SLICE):
+        stop = start + _COSINE_SLICE
+        flat_out[start:stop] = _cosine_product_slice(n, flat_th[start:stop])
+    np.ldexp(out, -((n + 1) % 512), out=out)
+    return out[()]
+
+
+def _cosine_product_slice(n: int, th: np.ndarray) -> np.ndarray:
+    """2^((n+1) % 512) cosine_product(n, th) for a 1-D slice of angles."""
+    angles = np.multiply.outer(np.arange(3.0, 6 * min(n + 1, _COSINE_BLOCK) + 3, 6.0), th)
     c1 = np.cos(th)
-    out = np.ones_like(th)
-    buf = np.empty_like(th)
-    for k in range(n + 1):
-        np.multiply(th, 6 * k + 3, out=buf)
-        np.cos(buf, out=buf)
-        buf += c1
-        out *= buf
-        if k % 512 == 511:
+    cos_j = np.cos(angles)
+    factors = cos_j + c1
+    out = np.multiply.reduce(factors, axis=0)
+    if n < _COSINE_BLOCK:
+        return out
+    sin_j = np.sin(angles, out=angles)
+    rotated = np.empty_like(angles)
+    for m in range(1, n // _COSINE_BLOCK + 1):
+        width = min(_COSINE_BLOCK, n + 1 - _COSINE_BLOCK * m)
+        block_start = th * (6 * _COSINE_BLOCK * m)
+        f, r = factors[:width], rotated[:width]
+        np.multiply(cos_j[:width], np.cos(block_start), out=f)
+        np.multiply(sin_j[:width], np.sin(block_start), out=r)
+        f -= r
+        f += c1
+        out *= np.multiply.reduce(f, axis=0)
+        if (_COSINE_BLOCK * m + width) % 512 == 0:
             np.ldexp(out, -512, out=out)
-    return np.ldexp(out, -((n + 1) % 512))
+    return out
 
 
 def integrand(n: int, mu, theta):

@@ -101,8 +101,6 @@ def validate(config: argparse.Namespace) -> None:
     if command == "integral" and config.n is not None and config.n < 0:
         raise ValueError("--n must be >= 0")
     if command == "certify":
-        if not config.n_list:
-            raise ValueError("certify needs at least one n")
         if min(config.n_list) < 168:
             raise ValueError("the envelope bound is claimed for n >= 168 only")
         if config.grid_points < 1000:
@@ -167,9 +165,7 @@ def _product_spec(config: argparse.Namespace, n: int) -> ProductSpec:
         return ProductSpec.odd(n)
     if config.family == "almkvist":
         return ProductSpec.almkvist(config.r, n)
-    if config.family == "general":
-        return ProductSpec.general(config.factors)
-    raise ValueError(f"unknown family {config.family!r}")
+    return ProductSpec.general(config.factors)
 
 
 def _cmd_expand(config: argparse.Namespace):

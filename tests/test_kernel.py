@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qunimodal.analytic import cosine_product, i2_ratio_check, lobe_ratio_certificates
+from qunimodal.analytic import _COSINE_SLICE, cosine_product, i2_ratio_check, lobe_ratio_certificates
 from qunimodal.quadrature import integrate_oscillatory
 
 import oracles
@@ -29,6 +29,23 @@ def _exact_product(n: int, theta: float):
     """prod_k cos((3k+1) t) cos((3k+2) t) at the exact binary value t of theta."""
     t = mpmath.mpf(theta)
     return mpmath.fprod(mpmath.cos((3 * k + 1) * t) * mpmath.cos((3 * k + 2) * t) for k in range(n + 1))
+
+
+def _forward_error_bound(n: int, theta: float):
+    """The folded product in 40 digits and its first-order forward error bound.
+
+    Each factor cos t + cos((6k+3) t) carries eps (4 + (6k+3) t), each
+    product one rounding.
+    """
+    t = mpmath.mpf(theta)
+    c1 = mpmath.cos(t)
+    factors = [c1 + mpmath.cos((6 * k + 3) * t) for k in range(n + 1)]
+    exact = mpmath.fprod(factors) / 2 ** (n + 1)
+    bound = EPS * (
+        mpmath.fsum((4 + (6 * k + 3) * theta) * abs(exact / f) for k, f in enumerate(factors))
+        + (n + 1) * abs(exact)
+    )
+    return exact, bound
 
 
 class TestCosineProduct:
@@ -54,27 +71,62 @@ class TestCosineProduct:
         for theta, value in zip(first, got):
             assert abs(value - float(_exact_product(n, theta))) <= 64 * EPS, theta
         # Beyond the first lobe |P| stays below 4e-62 and its relative error
-        # is set by the rounding of the arguments (6k+3) theta, up to a few
-        # hundred eps near the peak at pi/6 for any product of rounded
-        # arguments. Hold it to the first-order forward error bound: each
-        # factor cos t + cos((6k+3) t) carries eps (4 + (6k+3) t), each
-        # product one rounding.
+        # is set by the rounding of the arguments, which add up to
+        # (6k+3) theta, up to a few hundred eps near the peak at pi/6 for
+        # any product of rounded arguments. Hold it to the first-order
+        # forward error bound.
         beyond = np.concatenate([rng.uniform(split, math.pi / 2, 14), rng.uniform(0.5230, 0.5242, 6)])
         got = cosine_product(n, beyond)
         for theta, value in zip(beyond, got):
-            t = mpmath.mpf(theta)
-            c1 = mpmath.cos(t)
-            factors = [c1 + mpmath.cos((6 * k + 3) * t) for k in range(n + 1)]
-            exact = mpmath.fprod(factors) / 2 ** (n + 1)
-            bound = EPS * (
-                mpmath.fsum((4 + (6 * k + 3) * theta) * abs(exact / f) for k, f in enumerate(factors))
-                + (n + 1) * abs(exact)
-            )
+            exact, bound = _forward_error_bound(n, theta)
             assert abs(value - exact) <= bound, theta
 
     def test_scalar_angle(self):
         assert cosine_product(3, 0.0) == 1.0
         assert cosine_product(3, 0.3) == pytest.approx(float(_exact_product(3, 0.3)), abs=4 * EPS)
+
+
+class TestBlockedCosineProduct:
+    """cos((6k+3) t) for k = 16m + j from a table of j < 16, rotated by 6*16*m t."""
+
+    @pytest.mark.parametrize("n", range(16))
+    def test_first_block_is_the_plain_fold(self, n):
+        thetas = np.random.default_rng(n).uniform(0.0, math.pi / 2, 300)
+        c1 = np.cos(thetas)
+        want = np.ones_like(thetas)
+        for k in range(n + 1):
+            want *= np.cos(thetas * (6 * k + 3)) + c1
+        assert np.array_equal(cosine_product(n, thetas), np.ldexp(want, -(n + 1)))
+
+    @pytest.mark.parametrize("n", [8, 168])
+    def test_value_does_not_depend_on_its_slice(self, n):
+        thetas = np.random.default_rng(7).uniform(0.0, math.pi / 2, 2 * _COSINE_SLICE + 37)
+        got = cosine_product(n, thetas)
+        assert got.tolist() == [float(cosine_product(n, theta)) for theta in thetas]
+
+    def test_block_boundaries_at_168(self):
+        # Next to the zero pi/(6k+4) of the factor k = 16m - 1, the last of a
+        # block, or k = 16m, the first one rotated by a new block start, that
+        # one factor sets the relative error of the product.
+        n = 168
+        thetas = [
+            math.pi / (6 * k + 4) * (1.0 + d)
+            for m in range(1, n // 16 + 1)
+            for k in (16 * m - 1, 16 * m)
+            for d in (-1e-6, 1e-9)
+        ]
+        for theta, value in zip(thetas, cosine_product(n, np.array(thetas))):
+            exact, bound = _forward_error_bound(n, theta)
+            assert abs(value - exact) <= bound, theta
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 511, 512])
+    def test_block_and_rescale_edges(self, n):
+        split = math.pi / (6 * n + 4)
+        rng = np.random.default_rng(n)
+        thetas = np.concatenate([rng.uniform(0.0, split, 4), rng.uniform(split, math.pi / 2, 4)])
+        for theta, value in zip(thetas, cosine_product(n, thetas)):
+            exact, bound = _forward_error_bound(n, theta)
+            assert abs(value - exact) <= bound, theta
 
 
 class TestRowQuadrature:
