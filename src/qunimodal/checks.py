@@ -4,12 +4,14 @@ Checks report outcomes through :class:`CheckReport` instead of raising,
 so a sweep over a whole family collects every result. Exceptions are
 reserved for misuse (wrong degree, bad parameters).
 
-Every check reads a packed row's slot bytes, never a coefficient list.
-Slots are compared by a 64-bit key from the top of the bytes a slot can
-use, and by the rest of the slot only where keys tie. That gives the
-exact signs of a_m - a_{m-1} as one int8 vector (read by the
-unimodality, window and induction checks) and of the coefficients (read
-by the sign pattern check). Symmetry compares mirrored slots in chunks.
+Every check reads a row's limb planes, never a coefficient list.
+Neighbours are compared by a 64-bit key, the top 64 bits a coefficient
+can use (the sign bit flipped in a signed row, so keys order like
+values), and by their lower limbs only where keys tie. That gives the
+exact signs of a_m - a_{m-1} as one int8 vector, read by the
+unimodality, window and induction checks. A coefficient's sign is its
+top limb's sign, or zero where every limb is zero (the sign pattern
+check). Symmetry compares the planes with their mirror in chunks.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ __all__ = [
     "replay_induction",
 ]
 
-# Mirrored slots compared per step of the symmetry check.
+# Mirrored coefficients compared per step of the symmetry check.
 _SYMMETRY_CHUNK = 1 << 14
 
 
@@ -67,37 +69,32 @@ class CheckReport:
         return out
 
 
-def _compare(p: Polynomial, a, b) -> np.ndarray:
-    """Exact signs of slot values a - b as int8, lowest index first.
+def _steps(p: Polynomial, lo: int, hi: int) -> np.ndarray:
+    """Exact signs of a_m - a_{m-1} for lo <= m <= hi, as one int8 vector.
 
-    ``b`` holds as many slots as ``a``, or one slot for all of them. Slot
-    values are below 2**(bits + signed), so the bytes above the 8-byte key
-    window are zero: differing keys order their slots, and tied slots
-    compare their next 8 bytes down, until the slot ends.
+    A coefficient's bits from bits + signed up are copies of its sign, so
+    the key, its bits start..start+63 with start + 64 = max(bits + signed,
+    64) and the top one flipped in a signed row, orders neighbours as their
+    values do. A pair tied in its key is equal from ``start`` up, and its
+    lower limbs, compared whole and unsigned from the top down, decide it.
     """
-    width = p.slot // 8
-    top = width - max(8, (p.bits + p.signed + 7) // 8)
-
-    def keys(buf, offset):
-        return np.ndarray((len(buf) // width,), ">u8", buf, offset, (width,))[::-1]
-
-    signs = np.zeros(len(a) // width, dtype=np.int8)
-    tie = np.arange(signs.size)
-    for offset in range(top, width + 7, 8):
+    planes = p.limbs[:, lo - 1 : hi + 1]
+    limb, shift = divmod(max(p.bits + p.signed, 64) - 64, 64)
+    keys = planes[limb]
+    if shift:
+        keys = (keys >> shift) | (planes[limb + 1] << (64 - shift))
+    if p.signed:
+        keys = keys ^ (1 << 63)
+    ka, kb = keys[1:], keys[:-1]
+    signs = (ka > kb).astype(np.int8) - (ka < kb)
+    tie = np.flatnonzero(ka == kb)
+    for k in range(limb - (shift == 0), -1, -1):
         if not tie.size:
             break
-        offset = min(offset, width - 8)
-        ka, kb = keys(a, offset)[tie], np.broadcast_to(keys(b, offset), signs.shape)[tie]
-        signs[tie] = (ka > kb).astype(np.int8) - (ka < kb)
-        tie = tie[ka == kb]
+        a, b = planes[k, tie + 1], planes[k, tie]
+        signs[tie] = (a > b).astype(np.int8) - (a < b)
+        tie = tie[a == b]
     return signs
-
-
-def _steps(p: Polynomial, lo: int, hi: int) -> np.ndarray:
-    """Exact signs of a_m - a_{m-1} for lo <= m <= hi, as one int8 vector."""
-    width = p.slot // 8
-    buf = memoryview(p.slot_bytes(lo - 1, hi))
-    return _compare(p, buf[:-width], buf[width:])
 
 
 def _first_descent(p: Polynomial, lo: int, hi: int) -> int | None:
@@ -124,12 +121,11 @@ def _shape(steps: np.ndarray, offset: int) -> tuple[int | None, int, int]:
 
 def check_symmetric(p: Polynomial) -> CheckReport:
     """Verify coeff(m) == coeff(N - m) for the full degree N."""
-    n = p.degree
-    limbs = np.frombuffer(p.slot_bytes(0, n), ">u8").reshape(n + 1, p.slot // 64)
+    n, limbs = p.degree, p.limbs
     half = n // 2 + 1
     for start in range(0, half, _SYMMETRY_CHUNK):
         stop = min(start + _SYMMETRY_CHUNK, half)
-        differ = (limbs[start:stop] != limbs[n - stop + 1 : n - start + 1][::-1]).any(axis=1)
+        differ = (limbs[:, start:stop] != limbs[:, n - stop + 1 : n - start + 1][:, ::-1]).any(axis=0)
         if differ.any():
             return CheckReport("symmetric", False, first_violation=start + int(differ.argmax()))
     return CheckReport("symmetric", True)
@@ -233,7 +229,9 @@ def check_sign_pattern(p: Polynomial, period: int, pattern) -> CheckReport:
         raise ValueError("period must be >= 1")
     if period != len(signs):
         raise ValueError(f"period {period} does not match pattern length {len(signs)}")
-    coefficient_signs = _compare(p, p.slot_bytes(0, p.degree), p.bias.to_bytes(p.slot // 8, "big"))
+    coefficient_signs = (p.limbs != 0).any(axis=0).astype(np.int8)
+    if p.signed:
+        coefficient_signs[p.limbs[-1].view(np.int64) < 0] = -1
     want = np.resize(np.array(signs, dtype=np.int8), p.degree + 1)
     wrong = np.flatnonzero(coefficient_signs * want < 0)
     if wrong.size:

@@ -1,13 +1,17 @@
-"""Exact dense polynomial arithmetic for binomial q-products, packed.
+"""Exact dense polynomial arithmetic for binomial q-products, in limb planes.
 
-All arithmetic is on arbitrary precision integers. A row is one integer
-``packed = sum_m a_m * 2**(slot*m)`` (Kronecker substitution, Harvey
-2009), so a factor (1 +- q**e) is one shifted add ``x +- (x << slot*e)``.
-Every |a_m| < 2**bits < 2**slot, with slot a multiple of 64, so no slot
-carries into the next; a factor of t terms adds ceil(log2 t) bits, and
-:func:`product_rows` fixes the slot above their sum + 1 before its first
-factor (384 for ``main_rows(167)``). Signed rows are packed alike.
-``.coeffs`` decodes the slots once, on first access.
+A row a_0..a_d is a read-only ``uint64`` array ``limbs`` of shape
+(L, d + 1): plane k holds limb k of every coefficient, limb 0 the least
+significant, and a signed row is two's complement across its L limbs.
+Every |a_m| < 2**bits, and L = ceil((bits + signed) / 64). A factor
+(1 +- q**e) is a copy of the planes and one shifted add or subtract of
+them, with the carry passed from plane to plane as a 0/1 vector; a
+geometric block of t terms takes t - 1 shifted adds. Factors of t_1,
+t_2, ... terms bound the coefficients by t_1 t_2 ..., so a row's
+``bits`` is the bit length of that product (337 bits, six limbs, for
+the last row of ``main_rows(167)``). No arithmetic builds a row-sized
+Python integer: ``.coeffs`` decodes every coefficient once, on first
+access, and :func:`dump_lines` decodes a block at a time.
 
 :func:`family_rows` streams the rows of each product family, and
 :func:`build_product` is its last row:
@@ -24,7 +28,10 @@ factor (384 for ``main_rows(167)``). Signed rows are packed alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import AlmkvistDivisionInexact, DegreeMismatch
 
@@ -46,102 +53,90 @@ __all__ = [
     "recurrence_step",
 ]
 
+# Coefficients decoded per step of dump_lines.
+_DUMP_BLOCK = 1 << 12
+
 
 def main_degree(n: int) -> int:
     """Degree of the n-th main family product: 3 (n+1)**2."""
     return 3 * (n + 1) ** 2
 
 
-def _slot_width(bits: int) -> int:
-    """The first multiple of 64 above ``bits``."""
-    return 64 * (bits // 64 + 1)
+def _limb_count(bits: int, signed: bool) -> int:
+    """Limbs of a row whose |a_m| < 2**bits: ceil((bits + signed) / 64), at least one."""
+    return max(1, -(-(bits + signed) // 64))
 
 
-def _spread(value: int, slot: int, count: int) -> int:
-    """``value`` in each of ``count`` slots: sum_m value * 2**(slot*m)."""
-    return int.from_bytes(value.to_bytes(slot // 8, "big") * count, "big")
+def _decode(planes: np.ndarray, signed: bool) -> list[int]:
+    """The coefficients whose limb planes these are, as Python ints."""
+    width = 8 * planes.shape[0]
+    raw = np.ascontiguousarray(planes.T, dtype="<u8").tobytes()
+    return [int.from_bytes(raw[i : i + width], "little", signed=signed) for i in range(0, len(raw), width)]
 
 
 class Polynomial:
-    """Dense polynomial with exact integer coefficients, packed in one integer.
+    """Dense polynomial with exact integer coefficients, held in limb planes.
 
-    Treated as immutable: all operations return new instances. Trailing
-    zeros are trimmed on construction; the zero polynomial is ``(0,)``
-    with degree 0. ``signed`` says whether a coefficient may be negative.
+    Immutable: ``limbs`` is read-only and all operations return new
+    instances. Trailing zeros are trimmed on construction; the zero
+    polynomial is ``(0,)`` with degree 0. ``signed`` says whether a
+    coefficient may be negative, and ``bits`` bounds every |a_m| < 2**bits.
 
     >>> Polynomial([1, 2, 3, 0]).coeffs
     (1, 2, 3)
-    >>> Polynomial([]).is_zero()
-    True
+    >>> Polynomial([-1, 2**64]).limbs.tolist()
+    [[18446744073709551615, 0], [18446744073709551615, 1]]
     """
 
-    __slots__ = ("packed", "slot", "degree", "bits", "signed", "_coeffs", "_bytes")
+    __slots__ = ("limbs", "degree", "bits", "signed", "_coeffs")
 
-    def __init__(self, coefficients: Iterable[int], room: int = 1) -> None:
+    def __init__(self, coefficients: Iterable[int]) -> None:
         cs = [int(c) for c in coefficients]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         cs = cs or [0]
-        bits = max(abs(c).bit_length() for c in cs)
-        slot = _slot_width(bits + room)  # free bits per slot: one binomial needs 1
-        self._set(0, slot, len(cs) - 1, bits, min(cs) < 0, tuple(cs))
-        biased = b"".join((c + self.bias).to_bytes(slot // 8, "big") for c in reversed(cs))
-        self.packed = int.from_bytes(biased, "big") - (_spread(self.bias, slot, len(cs)) if self.signed else 0)
+        bits, signed = max(abs(c).bit_length() for c in cs), min(cs) < 0
+        width = 8 * _limb_count(bits, signed)
+        raw = b"".join(c.to_bytes(width, "little", signed=signed) for c in cs)
+        self._set(np.frombuffer(raw, "<u8").reshape(len(cs), -1).T, bits, signed)
 
     @classmethod
-    def _of(cls, packed: int, slot: int, degree: int, bits: int, signed: bool) -> "Polynomial":
+    def _of(cls, limbs: np.ndarray, bits: int, signed: bool) -> "Polynomial":
         p = cls.__new__(cls)
-        p._set(packed, slot, degree, bits, signed, None)
+        p._set(limbs, bits, signed)
         return p
 
-    def _set(self, packed, slot, degree, bits, signed, coeffs) -> None:
-        self.packed, self.slot, self.degree, self.bits, self.signed = packed, slot, degree, bits, signed
-        self._coeffs: tuple[int, ...] | None = coeffs
-        self._bytes: bytes | None = None
-
-    @property
-    def bias(self) -> int:
-        """What :meth:`slot_bytes` adds to every slot: 2**bits for a signed row, else 0."""
-        return 1 << self.bits if self.signed else 0
-
-    def slot_bytes(self, lo: int, hi: int) -> bytes | memoryview:
-        """Slots hi down to lo, ``slot // 8`` big-endian bytes each.
-
-        Slot m holds a_m + :attr:`bias`, in [0, 2**(bits + signed)). The
-        whole row's bytes are kept, and a part is cut from them if kept.
-        """
-        width = self.slot // 8
-        if self._bytes is not None:
-            return memoryview(self._bytes)[(self.degree - hi) * width : (self.degree - lo + 1) * width]
-        value = self.packed + _spread(self.bias, self.slot, self.degree + 1) if self.signed else self.packed
-        if lo == 0 and hi == self.degree:
-            self._bytes = value.to_bytes(width * (self.degree + 1), "big")
-            return self._bytes
-        value = (value >> (self.slot * lo)) & ((1 << (self.slot * (hi - lo + 1))) - 1)
-        return value.to_bytes(width * (hi - lo + 1), "big")
+    def _set(self, limbs: np.ndarray, bits: int, signed: bool) -> None:
+        self.limbs = np.ascontiguousarray(limbs, dtype=np.uint64)
+        self.limbs.flags.writeable = False
+        self.degree, self.bits, self.signed = self.limbs.shape[1] - 1, bits, signed
+        self._coeffs: tuple[int, ...] | None = None
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        """The coefficients a_0..a_degree, decoded from the slots on first access."""
+        """The coefficients a_0..a_degree, decoded from the planes on first access."""
         if self._coeffs is None:
-            width, view, bias = self.slot // 8, memoryview(self.slot_bytes(0, self.degree)), self.bias
-            ends = range(len(view), 0, -width)
-            self._coeffs = tuple(int.from_bytes(view[i - width : i], "big") - bias for i in ends)
+            self._coeffs = tuple(_decode(self.limbs, self.signed))
         return self._coeffs
 
     def is_zero(self) -> bool:
-        return self.packed == 0
+        return self.degree == 0 and not self.limbs.any()
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        if self.degree != other.degree:
+            return False
+        # One limb more when one row is signed: its top bit is a sign, the other's a digit.
+        count = max(len(self.limbs), len(other.limbs)) + (self.signed != other.signed)
+        return np.array_equal(_widen(self.limbs, self.signed, count), _widen(other.limbs, other.signed, count))
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # Equal rows share their degree and every coefficient, whatever their limb counts.
+        return hash((self.degree, coeff(self, 0), coeff(self, self.degree // 2), coeff(self, self.degree)))
 
     def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in self.coeffs[:6])
+        shown = ", ".join(str(c) for c in _decode(self.limbs[:, :6], self.signed))
         ellipsis = ", ..." if self.degree >= 6 else ""
         return f"Polynomial(degree={self.degree}, coeffs=[{shown}{ellipsis}])"
 
@@ -193,51 +188,112 @@ class ProductSpec:
         return cls(family="almkvist", r=r, n=n)
 
 
+def _check_factor(sign: int, exponent: int, terms: int) -> None:
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if exponent < 1 or terms < 1:
+        raise ValueError(f"exponent and terms must be >= 1, got {exponent} and {terms}")
+
+
+def _widen(limbs: np.ndarray, signed: bool, count: int) -> np.ndarray:
+    """``limbs`` extended to ``count`` planes: by the sign of a signed row, else by zeros."""
+    if len(limbs) == count:
+        return limbs
+    out = np.empty((count, limbs.shape[1]), np.uint64)
+    out[: len(limbs)] = limbs
+    out[len(limbs) :] = (limbs[-1].view(np.int64) >> 63).view(np.uint64) if signed else 0
+    return out
+
+
+def _add_into(acc: np.ndarray, x: np.ndarray, subtract: bool) -> None:
+    """acc += x, or acc -= x as acc += ~x + 1, on planes of equal limb count, modulo 2**(64 L).
+
+    s = a + b carries where s < b, and adding the carry in (the 1 of a
+    subtraction into limb 0) carries again only where the sum wraps to 0.
+    """
+    carry = np.full(acc.shape[1], subtract)
+    out, wrap = np.empty_like(carry), np.empty_like(carry)
+    for k, (a, b) in enumerate(zip(acc, x)):
+        b = ~b if subtract else b
+        inner = k < len(acc) - 1  # no carry leaves the top limb
+        np.add(a, b, out=a)
+        if inner:
+            np.less(a, b, out=out)
+        if k or subtract:
+            np.add(a, carry, out=a)
+            if inner:
+                np.equal(a, 0, out=wrap)
+                wrap &= carry
+                out |= wrap
+        carry, out = out, carry
+
+
+def _times(limbs: np.ndarray, signed: bool, sign: int, exponent: int, terms: int, count: int,
+           buffer: np.ndarray | None = None) -> np.ndarray:
+    """Planes of the row ``limbs`` (signed if ``signed``) times sum_{j<terms} (sign q**exponent)**j.
+
+    The product, in ``count`` limbs, is written to the front of ``buffer``
+    if one is given, else to a fresh array: one copy of the row, then one
+    shifted add or subtract of it per further term.
+    """
+    src = _widen(limbs, signed, count)
+    n = src.shape[1]
+    size = n + (terms - 1) * exponent
+    out = (np.empty(count * size, np.uint64) if buffer is None else buffer[: count * size]).reshape(count, size)
+    out[:, :n] = src
+    out[:, n:] = 0
+    for j in range(1, terms):
+        _add_into(out[:, j * exponent : j * exponent + n], src, sign**j < 0)
+    return out
+
+
 def mul_binomial(p: Polynomial, sign: int, exponent: int, terms: int = 2) -> Polynomial:
     """Multiply by sum_{j<terms} (sign * q**exponent)**j: one shifted add per term.
 
     ``terms=2`` is the binomial (1 + sign q**e); (1, e, r) is (1 - q**(re)) / (1 - q**e).
+    The bound grows to (2**bits - 1) * terms.
 
     >>> mul_binomial(Polynomial([1, 1]), 1, 2).coeffs
     (1, 1, 1, 1)
     >>> mul_binomial(Polynomial([1, 1]), -1, 1, terms=3).coeffs
     (1, 0, 0, 1)
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if exponent < 1 or terms < 1:
-        raise ValueError(f"exponent and terms must be >= 1, got {exponent} and {terms}")
-    if p.is_zero():
+    _check_factor(sign, exponent, terms)
+    if p.is_zero() or terms == 1:
         return p
-    growth = (terms - 1).bit_length()  # ceil(log2 terms) bits
-    if p.bits + growth >= p.slot:
-        p = Polynomial(p.coeffs, room=growth)  # repacked with room for the whole growth
-    shift, packed = p.slot * exponent, p.packed
-    for _ in range(terms - 1):  # Horner: p + sign * q**exponent * (the sum so far)
-        packed = p.packed + (packed << shift) if sign == 1 else p.packed - (packed << shift)
-    return Polynomial._of(packed, p.slot, p.degree + (terms - 1) * exponent, p.bits + growth, p.signed or sign < 0)
+    bits, signed = (((1 << p.bits) - 1) * terms).bit_length(), p.signed or sign < 0
+    return Polynomial._of(_times(p.limbs, p.signed, sign, exponent, terms, _limb_count(bits, signed)), bits, signed)
 
 
 def product_rows(groups: Iterable[Iterable[tuple[int, ...]]]) -> Iterator[Polynomial]:
     """Yield the running product after each group of factors, as :func:`mul_binomial` takes them.
 
-    A factor is (sign, exponent) or (sign, exponent, terms). The slot width
-    is fixed from the total growth before the first factor. Only the
-    current packed row is kept, no coefficient list is built, and a row's
-    slot bytes are dropped once the stream moves on. An empty group yields
-    the product so far unchanged.
+    A factor is (sign, exponent) or (sign, exponent, terms). After factors
+    of t_1, t_2, ... terms every |a_m| <= t_1 t_2 ..., so a row's ``bits``
+    is the bit length of that product. Each yielded row owns a fresh
+    array, so a row held by the consumer stays valid; the product before
+    a group's last factor goes to one scratch array of the last row's
+    size, earlier ones to arrays of their own. An empty group yields the
+    product so far unchanged.
 
     >>> [p.coeffs for p in product_rows([[(1, 1)], [], [(-1, 2)]])]
     [(1, 1), (1, 1), (1, 1, -1, -1)]
     """
     groups = [[(*factor, 2)[:3] for factor in group] for group in groups]
-    growth = sum((terms - 1).bit_length() for group in groups for _, _, terms in group)
-    p = Polynomial._of(1, _slot_width(growth + 1), 0, 1, False)
+    factors = [factor for group in groups for factor in group]
+    for factor in factors:
+        _check_factor(*factor)
+    groups = [[factor for factor in group if factor[2] > 1] for group in groups]  # one term: the identity
+    bits = prod(terms for _, _, terms in factors).bit_length()
+    size = _limb_count(bits, any(sign < 0 for sign, _, _ in factors)) * (1 + sum((t - 1) * e for _, e, t in factors))
+    scratch = np.empty(size, np.uint64) if any(len(group) > 1 for group in groups) else None
+    limbs, bound, signed = np.ones((1, 1), np.uint64), 1, False
     for group in groups:
-        for sign, exponent, terms in group:
-            p = mul_binomial(p, sign, exponent, terms)
-        yield p
-        p._bytes = None  # a consumer holding this row keeps only its integer
+        for i, (sign, exponent, terms) in enumerate(group):
+            buffer = scratch if i == len(group) - 2 else None
+            was_signed, signed, bound = signed, signed or sign < 0, bound * terms
+            limbs = _times(limbs, was_signed, sign, exponent, terms, _limb_count(bound.bit_length(), signed), buffer)
+        yield Polynomial._of(limbs, bound.bit_length(), signed)
 
 
 def main_rows(n_max: int, sign: int = 1) -> Iterator[Polynomial]:
@@ -276,9 +332,14 @@ def family_rows(spec: ProductSpec) -> Iterator[tuple[int | None, Polynomial]]:
 
 
 def build_product(spec: ProductSpec) -> Polynomial:
-    """Expand the product described by ``spec``: the last row of :func:`family_rows`."""
-    for _, p in family_rows(spec):
-        pass
+    """Expand the product described by ``spec``: the last row of :func:`family_rows`.
+
+    Each earlier row is dropped before the stream builds the next.
+    """
+    for n, p in family_rows(spec):
+        if n == spec.n:
+            break
+        del p
     assert spec.family != "main" or p.degree == main_degree(spec.n)
     assert spec.family != "almkvist" or p.degree == (spec.r - 1) * spec.n * (spec.n + 1) // 2
     return p
@@ -343,10 +404,27 @@ def recurrence_step(prev: Polynomial, n: int) -> Polynomial:
     return mul_binomial(mul_binomial(prev, 1, 3 * n + 1), 1, 3 * n + 2)
 
 
+def recurrence_step(prev: Polynomial, n: int) -> Polynomial:
+    """Advance the main family chain from row n-1 to row n.
+
+    Multiplying by (1 + q**(3n+1))(1 + q**(3n+2)) amounts to adding
+    three shifted copies of the previous row: coefficient m picks up the
+    values at m-(3n+1), m-(3n+2) and m-(6n+3).
+    """
+    if n < 1:
+        raise ValueError("recurrence_step needs n >= 1")
+    expected = main_degree(n - 1)
+    if prev.degree != expected:
+        raise DegreeMismatch(
+            f"previous row has degree {prev.degree}, expected {expected} for step n={n}"
+        )
+    return mul_binomial(mul_binomial(prev, 1, 3 * n + 1), 1, 3 * n + 2)
+
+
 def coeff(p: Polynomial, m: int) -> int:
-    """Coefficient of q**m, zero outside the stored range."""
+    """Coefficient of q**m, zero outside the stored range; decodes that coefficient alone."""
     if 0 <= m <= p.degree:
-        return p.coeffs[m]
+        return _decode(p.limbs[:, m : m + 1], p.signed)[0]
     return 0
 
 
@@ -361,9 +439,10 @@ def evaluate_at_minus_one(p: Polynomial) -> int:
 
 
 def dump_lines(p: Polynomial) -> Iterator[str]:
-    """Serialize as ``m,<decimal>`` lines, ascending m, no header."""
-    for m, c in enumerate(p.coeffs):
-        yield f"{m},{c}"
+    """Serialize as ``m,<decimal>`` lines, ascending m, no header; decoded a block at a time."""
+    for start in range(0, p.degree + 1, _DUMP_BLOCK):
+        for m, c in enumerate(_decode(p.limbs[:, start : start + _DUMP_BLOCK], p.signed), start):
+            yield f"{m},{c}"
 
 
 def parse_dump(lines: Iterable[str]) -> Polynomial:

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import oracles
-from qunimodal.polynomials import ProductSpec, build_product, family_rows, mul_binomial
+from qunimodal.polynomials import ProductSpec, _times as times, build_product, family_rows
 
 
 def rows_of(spec):
@@ -45,11 +45,11 @@ class TestFamilyRows:
         # intermediate product it never saw, finds its input held the same way.
         counts = []
 
-        def spy(p, *args):
-            counts.append(sys.getrefcount(p))
-            return mul_binomial(p, *args)
+        def spy(limbs, *args):
+            counts.append(sys.getrefcount(limbs))
+            return times(limbs, *args)
 
-        monkeypatch.setattr("qunimodal.polynomials.mul_binomial", spy)
+        monkeypatch.setattr("qunimodal.polynomials._times", spy)
         for _, p in family_rows(spec):
             del p
         assert len(counts) >= 6 and len(set(counts)) == 1

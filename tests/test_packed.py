@@ -1,15 +1,21 @@
-"""Packed rows against the brute-force oracles.
+"""Rows packed in limb planes against the brute-force oracles.
 
-Every structural check reads a row's slot bytes, never a coefficient
-list, so each report is held to one built by ``tests/oracles.py`` from
-plain Python lists: on hypothesis lists (negative and multi-limb entries
-included), on neighbours that tie in their top 64 bits, on a row-60
-chain row with one coefficient moved, and on the CLI's own output.
+A row's coefficients are packed in ``uint64`` limb planes: a
+coefficient's slot is its L limbs, 64 L bits wide, two's complement if
+the row is signed. Every structural check reads the planes, never a
+coefficient list, so each report is held to one built by
+``tests/oracles.py`` from plain Python lists: on hypothesis lists
+(negative and multi-limb entries included), on neighbours that tie in
+their top 64 bits, on a row-60 chain row with one coefficient moved, and
+on the CLI's own output. The planes themselves are held to limbs cut
+from the oracle's integers by hand, and the carries and borrows to
+entries at the limb edges.
 """
 
 import json
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +33,9 @@ from qunimodal.polynomials import (
     Polynomial,
     ProductSpec,
     build_product,
+    coeff,
     divide_exact,
+    dump_lines,
     family_rows,
     main_rows,
     mul_binomial,
@@ -105,9 +113,22 @@ def row_60():
     return tuple(oracle_main_rows(60)[-1])
 
 
-def packed_by_hand(cs, slot):
-    """sum_m cs[m] * 2**(slot*m), computed apart from the package."""
-    return sum(c << (slot * m) for m, c in enumerate(cs))
+def limbs_by_hand(cs, count):
+    """Plane k holds bits 64k..64k+63 of every c mod 2**(64 count), cut apart from the package."""
+    mask = (1 << 64) - 1
+    return np.array([[(c >> (64 * k)) & mask for c in cs] for k in range(count)], dtype=np.uint64)
+
+
+def limb_count(p):
+    return max(1, -(-(p.bits + p.signed) // 64))
+
+
+def assert_planes(p, cs):
+    """``p`` holds exactly ``cs``, in as many limbs as its bound needs, read-only."""
+    assert max(abs(c) for c in cs) < 2**p.bits
+    assert p.signed or min(cs) >= 0
+    assert p.limbs.dtype == np.uint64 and not p.limbs.flags.writeable
+    assert np.array_equal(p.limbs, limbs_by_hand(cs, limb_count(p)))
 
 
 def assert_checks_match(p, cs):
@@ -149,9 +170,9 @@ class TestChecksOnPackedRows:
         # below the key: the tie fallback decides every comparison.
         cs = [sign * (1 << 300) + (x << shift) for x in xs]
         p = Polynomial(cs)
-        top = 8 * ((p.bits + p.signed + 7) // 8)
-        biased = {(c + p.bias) >> (top - 64) for c in cs}
-        assert len(biased) == 1
+        start = max(p.bits + p.signed, 64) - 64  # the key: bits start..start+63 of each slot
+        keys = {(c % 2 ** (64 * limb_count(p)) >> start) % 2**64 for c in cs}
+        assert len(keys) == 1 and start > shift + 6
         assert_checks_match(p, cs)
         pattern = [sign, -sign]
         assert check_sign_pattern(p, 2, pattern).to_json_dict() == want_sign_pattern(cs, pattern)
@@ -167,8 +188,11 @@ class TestChecksOnPackedRows:
         delta = data.draw(st.sampled_from([1, -1] if m < p.degree else [1]))
         cs[m] += delta
         assert min(cs) >= 0
-        # the chain's own slot layout, and the layout of a row built from a list
-        moved = Polynomial._of(p.packed + delta * (1 << (p.slot * m)), p.slot, p.degree, p.bits, False)
+        # the chain's own limb layout, and the layout of a row built from a list
+        limbs = p.limbs.copy()
+        limbs[:, m] = limbs_by_hand([cs[m]], len(limbs))[:, 0]
+        moved = Polynomial._of(limbs, p.bits, False)
+        assert (p.bits, len(limbs)) == (123, 2) and len(Polynomial(cs).limbs) == 2
         for q in (moved, Polynomial(cs)):
             assert check_symmetric(q).to_json_dict() == want_symmetric(cs)
             assert check_unimodal(q).to_json_dict() == want_unimodal(cs)
@@ -179,7 +203,7 @@ class TestChecksOnPackedRows:
         for n, p in enumerate(main_rows(12, sign=-1)):
             cs = oracles.naive_product(oracles.borwein_factors(n))
             assert p.signed
-            assert p.packed == packed_by_hand(cs, p.slot)
+            assert_planes(p, cs)
             assert check_sign_pattern(p, 3, "+--").to_json_dict() == want_sign_pattern(cs, [1, -1, -1])
             assert check_symmetric(p).to_json_dict() == want_symmetric(cs)
             assert check_unimodal(p).to_json_dict() == want_unimodal(cs)
@@ -198,23 +222,46 @@ class TestSlotWidth:
     def test_slot_stays_above_f_plus_one_bits(self, factors):
         rows = list(product_rows([f] for f in factors))
         for f, p in enumerate(rows, start=1):
-            assert p.slot % 64 == 0
-            assert p.slot > len(factors) + 1
-            assert p.bits <= f + 1
-            assert max(abs(c) for c in p.coeffs) < 2 ** p.bits
-        assert all(p.slot == rows[0].slot for p in rows)
+            assert p.bits == f + 1  # the bit length of 2**f
+            assert p.signed == any(sign < 0 for sign, _ in factors[:f])
+            assert 64 * len(p.limbs) >= p.bits + p.signed > 64 * (len(p.limbs) - 1)
+            assert_planes(p, oracles.naive_product(factors[:f]))
 
     def test_main_rows_167_use_384_bit_slots(self):
-        assert next(main_rows(167)).slot == 384
+        # Row n has 2(n+1) binomials: 2n + 3 bits, one more limb every 32 rows.
+        counts = [len(p.limbs) for p in main_rows(167)]
+        assert counts == [(2 * n + 3 + 63) // 64 for n in range(168)]
+        assert counts[-1] * 64 == 384
 
     def test_a_list_row_grows_its_slots_when_a_factor_needs_them(self):
         factors = [(1, 1)] * 70 + [(-1, 2)] * 3
         p = Polynomial([1])
-        assert p.slot == 64
-        for sign, exponent in factors:
+        assert len(p.limbs) == 1
+        for f, (sign, exponent) in enumerate(factors, start=1):
             p = mul_binomial(p, sign, exponent)
-        assert p.slot == 128
-        assert list(p.coeffs) == oracles.naive_product(factors)
+            assert len(p.limbs) == (1 if f < 64 else 2)
+        assert (p.bits, p.signed) == (74, True)
+        assert_planes(p, oracles.naive_product(factors))
+
+
+class TestTightBound:
+    def test_almkvist_r3_rows_fit_one_limb(self):
+        # 3**40 < 2**64: the block product bounds every row of almkvist --r 3 --n-max 40
+        # by 64 bits (the sum of ceil(log2 3) gave 81, two limbs).
+        rows = [(n, p) for n, p in family_rows(ProductSpec.almkvist(3, 40))]
+        assert all(p.bits == (3**n).bit_length() and len(p.limbs) == 1 for n, p in rows)
+        assert rows[-1][1].bits == 64
+        assert max(rows[-1][1].coeffs).bit_length() == 56
+
+    def test_almkvist_r7_n150_takes_seven_limbs(self):
+        p = build_product(ProductSpec.almkvist(7, 150))
+        assert p.bits == (7**150).bit_length() == 422
+        assert len(p.limbs) == 7  # eight from the sum of ceil(log2 7), 451 bits
+
+    def test_mul_binomial_bounds_by_terms_times_the_old_bound(self):
+        p = mul_binomial(Polynomial([3, 1]), -1, 2, 3)  # |a_m| <= 3 * 3
+        assert (p.bits, p.signed) == (4, True)
+        assert_planes(p, oracles.convolve([3, 1], [1, 0, -1, 0, 1]))
 
 
 # --- the rows end to end ----------------------------------------------------
@@ -229,7 +276,7 @@ class TestRowsEndToEnd:
         for stream, factors in streams.values():
             for n, p in stream:
                 cs = oracles.naive_product(factors(n))
-                assert p.packed == packed_by_hand(cs, p.slot)
+                assert_planes(p, cs)
                 assert p.degree == len(cs) - 1
                 before = [check_symmetric(p).to_json_dict(), check_unimodal(p).to_json_dict()]
                 assert before == [want_symmetric(cs), want_unimodal(cs)]
@@ -270,8 +317,8 @@ def block(sign, exponent, terms):
     return out
 
 
-# Entries of 58..64 or 122..128 bits: a list row packs them in 64- or
-# 128-bit slots with at most a few bits to spare.
+# Entries of 58..64 or 122..128 bits: a list row packs them in one or two
+# limbs with at most a few bits to spare.
 boundary_entries = st.builds(
     lambda bits, low, sign: sign * ((1 << (bits - 1)) + low % (1 << (bits - 1))),
     st.sampled_from([58, 61, 62, 63, 64, 122, 125, 126, 127, 128]),
@@ -287,24 +334,22 @@ class TestGeometricBlocks:
         p = mul_binomial(Polynomial(cs), *factor)
         want = trimmed(oracles.convolve(trimmed(cs), block(*factor)))
         assert list(p.coeffs) == want
-        assert p.packed == packed_by_hand(want, p.slot)
-        assert max(abs(c) for c in want) < 2**p.bits < 2**p.slot
+        assert_planes(p, want)
 
     @given(st.lists(boundary_entries, min_size=1, max_size=12), blocks)
     def test_list_row_near_a_slot_boundary(self, cs, factor):
         p = mul_binomial(Polynomial(cs), *factor)
         want = oracles.convolve(cs, block(*factor))
-        assert p.packed == packed_by_hand(want, p.slot)
+        assert_planes(p, want)
         assert list(p.coeffs) == want
-        assert p.bits < p.slot
 
-    def test_a_full_slot_is_repacked_for_the_whole_growth(self):
+    def test_a_full_limb_grows_for_the_whole_growth(self):
         cs = [2**62 - 1] * 10
         p = Polynomial(cs)
-        assert (p.slot, p.bits) == (64, 62)
-        q = mul_binomial(p, 1, 1, 5)  # three bits of growth: 65 > 64
-        assert q.slot == 128
-        assert list(q.coeffs) == oracles.convolve(cs, [1] * 5)
+        assert (len(p.limbs), p.bits) == (1, 62)
+        q = mul_binomial(p, 1, 1, 5)  # bound (2**62 - 1) * 5: 65 bits
+        assert (len(q.limbs), q.bits) == (2, 65)
+        assert_planes(q, oracles.convolve(cs, [1] * 5))
 
     def test_one_term_is_the_identity(self):
         assert mul_binomial(Polynomial([3, -1, 2]), -1, 4, 1).coeffs == (3, -1, 2)
@@ -317,14 +362,13 @@ class TestGeometricBlocks:
     def test_stream_of_mixed_factors(self, factors):
         rows = list(product_rows([f] for f in factors))
         full = [(*f, 2)[:3] for f in factors]  # a binomial is a block of two terms
-        growth = sum((terms - 1).bit_length() for _, _, terms in full)
-        want = [1]
+        want, bound = [1], 1
         for f, p in zip(full, rows):
-            want = oracles.convolve(want, block(*f))
-            assert p._coeffs is None
-            assert p.packed == packed_by_hand(want, p.slot)
+            want, bound = oracles.convolve(want, block(*f)), bound * f[2]
+            assert p._coeffs is None  # the stream never decodes a row
+            assert p.bits == bound.bit_length()
+            assert_planes(p, want)
             assert list(p.coeffs) == want
-        assert all(p.slot == rows[0].slot > growth + 1 for p in rows)
 
 
 class TestQuotientStream:
@@ -335,7 +379,7 @@ class TestQuotientStream:
             divided = divide_exact(mul_binomial(divided, -1, r * n), Polynomial([1] + [0] * (n - 1) + [-1]))
             want = oracles.convolve(want, oracles.geometric_block(r, n))
             assert p._coeffs is None  # the stream never decodes a row
-            assert p.packed == packed_by_hand(want, p.slot)
+            assert_planes(p, want)
             assert p.degree == (r - 1) * n * (n + 1) // 2
             before = [check_symmetric(p).to_json_dict(), check_unimodal(p).to_json_dict()]
             assert before == [want_symmetric(want), want_unimodal(want)]
@@ -344,8 +388,131 @@ class TestQuotientStream:
             assert [check_symmetric(p).to_json_dict(), check_unimodal(p).to_json_dict()] == before
         assert want == oracles.gaussian_product(r, 30)
 
-    def test_slot_is_fixed_from_the_block_growth(self):
-        # Each block of r = 5 terms adds three bits: 90 bits for n = 30.
-        rows = [p for _, p in family_rows(ProductSpec.almkvist(5, 30))]
-        assert {p.slot for p in rows} == {128}
-        assert rows[-1].bits == 91
+    def test_bits_follow_the_block_product(self):
+        # Blocks of r = 5 terms bound row n by 5**n: 70 bits at n = 30, where
+        # three bits a block gave 91.
+        rows = [(n, p) for n, p in family_rows(ProductSpec.almkvist(5, 30))]
+        assert [p.bits for _, p in rows] == [(5**n).bit_length() for n, _ in rows]
+        assert [len(p.limbs) for _, p in rows] == [1] * 27 + [2] * 3
+        assert rows[-1][1].bits == 70
+
+
+# --- held rows, read-only planes, carries across limbs ----------------------
+
+class TestHeldRows:
+    def test_rows_held_past_the_next_step_equal_the_oracle(self):
+        held = list(main_rows(30))
+        assert [list(p.coeffs) for p in held] == oracle_main_rows(30)
+        held = list(main_rows(20, sign=-1))
+        assert [list(p.coeffs) for p in held] == oracle_main_rows(20, sign=-1)
+        for n, p in list(family_rows(ProductSpec.odd(12))):
+            assert_planes(p, oracles.naive_product(oracles.odd_factors(n)))
+        want = [1]
+        for n, p in list(family_rows(ProductSpec.almkvist(4, 12))):
+            want = oracles.convolve(want, oracles.geometric_block(4, n))
+            assert_planes(p, want)
+        general = [(-1, 1), (1, 1), (1, 3), (-1, 4), (1, 2), (-1, 5)]
+        ((n, p),) = family_rows(ProductSpec.general(general))
+        assert n is None
+        assert_planes(p, oracles.naive_product(general))
+
+    def test_groups_of_many_factors_share_no_planes(self):
+        # Groups of three and four factors: the product before the last
+        # factor goes to the scratch, and every held row has planes of its own.
+        groups = [[(1, 1), (-1, 2), (1, 3)], [(1, 4), (1, 5, 3), (-1, 6), (1, 7)], [], [(1, 8)]]
+        held = list(product_rows(groups))
+        want, factors = [], []
+        for group in groups:
+            factors += group
+            cs = [1]
+            for f in factors:
+                cs = oracles.convolve(cs, block(*(*f, 2)[:3]))
+            want.append(cs)
+        for p, cs in zip(held, want):
+            assert_planes(p, cs)
+        assert held[2] == held[1]
+        bases = [p.limbs.base if p.limbs.base is not None else p.limbs for p in held]
+        assert len({id(b) for b in bases}) == 3  # the empty group repeats its row
+
+    def test_yielded_planes_are_not_writeable(self):
+        rows = [*main_rows(3), *main_rows(3, sign=-1), *(p for _, p in family_rows(ProductSpec.almkvist(3, 4)))]
+        rows += [mul_binomial(rows[-1], -1, 2, 4), Polynomial([5, -2**70])]
+        for p in rows:
+            assert not p.limbs.flags.writeable
+            with pytest.raises(ValueError):
+                p.limbs[0, 0] = 7
+
+
+def edge(k, offset):
+    """2**(64k) + offset: with offset -1, 0 or 1, an entry at the edge of limb k."""
+    return (1 << (64 * k)) + offset
+
+
+# Entries at 2**(64k) - 1, -2**(64k) and their neighbours, and +-1: every
+# limb is 0 or all ones, so each add or subtract carries or borrows.
+limb_edges = st.one_of(
+    st.builds(edge, st.integers(1, 3), st.sampled_from([-1, 0, 1])),
+    st.builds(lambda k, offset: -edge(k, offset), st.integers(1, 3), st.sampled_from([-1, 0, 1])),
+    st.sampled_from([1, -1, 0]),
+)
+factors_or_blocks = st.one_of(blocks, st.tuples(st.sampled_from([1, -1]), st.integers(1, 4)))
+
+
+class TestCarries:
+    @given(st.lists(limb_edges, min_size=1, max_size=12), factors_or_blocks)
+    def test_limb_edges_times_one_factor(self, cs, factor):
+        p = mul_binomial(Polynomial(cs), *factor)
+        want = trimmed(oracles.convolve(trimmed(cs), block(*(*factor, 2)[:3])))
+        assert list(p.coeffs) == want
+        assert_planes(p, want)
+
+    @given(st.lists(limb_edges, min_size=1, max_size=8), st.lists(factors_or_blocks, min_size=2, max_size=4))
+    def test_limb_edges_through_a_chain(self, cs, factors):
+        p, want = Polynomial(cs), trimmed(cs)
+        for factor in factors:
+            p = mul_binomial(p, *factor)
+            want = trimmed(oracles.convolve(want, block(*(*factor, 2)[:3])))
+            if want != [0]:
+                assert_planes(p, want)
+        assert list(p.coeffs) == want
+
+    def test_a_carry_runs_through_every_limb(self):
+        top = 2 ** (64 * 3) - 1  # three limbs of all ones, one below a fourth
+        p = mul_binomial(Polynomial([top, top]), 1, 1)
+        assert list(p.coeffs) == [top, 2 * top, top]
+        q = mul_binomial(Polynomial([-(2**192), 1]), -1, 1)  # a borrow through every limb
+        assert list(q.coeffs) == [-(2**192), 2**192 + 1, -1]
+
+
+class TestPlaneReads:
+    @given(st.lists(entries, min_size=1, max_size=20))
+    def test_coeff_and_repr_read_the_planes(self, cs):
+        p = Polynomial(cs)
+        want = trimmed(cs)
+        assert [coeff(p, m) for m in range(-1, len(want) + 1)] == [0, *want, 0]
+        assert repr(p).startswith(f"Polynomial(degree={len(want) - 1}, coeffs=[{', '.join(map(str, want[:6]))}")
+        assert p._coeffs is None
+
+    def test_equal_rows_in_different_layouts(self):
+        # Row 31 carries a 65-bit bound (two limbs); its coefficients fit one.
+        *_, row = main_rows(31)
+        plain = Polynomial(row.coeffs)
+        assert (len(row.limbs), len(plain.limbs)) == (2, 1)
+        assert row == plain and hash(row) == hash(plain)
+        # (1 + q)(1 - q + q**2) = 1 + q**3: a signed row with no negative coefficient
+        (signed,) = product_rows([[(1, 1), (-1, 1, 3)]])
+        assert signed.signed and signed == Polynomial([1, 0, 0, 1])
+        assert hash(signed) == hash(Polynomial([1, 0, 0, 1]))
+        moved = list(row.coeffs)
+        moved[400] += 1
+        assert row != Polynomial(moved)
+        assert Polynomial([1, 2]) != Polynomial([1, 2, 3])
+        assert Polynomial([-1]) != Polynomial([2**64 - 1])
+
+    def test_dump_crosses_its_blocks(self):
+        # 5,044 signed two-limb coefficients: two blocks of the dump
+        *_, p = main_rows(40, sign=-1)
+        cs = oracle_main_rows(40, sign=-1)[-1]
+        assert (len(cs), len(p.limbs), p.signed) == (5044, 2, True)
+        assert list(dump_lines(p)) == [f"{m},{c}" for m, c in enumerate(cs)]
+        assert p._coeffs is None
