@@ -4,14 +4,13 @@ Checks report outcomes through :class:`CheckReport` instead of raising,
 so a sweep over a whole family collects every result. Exceptions are
 reserved for misuse (wrong degree, bad parameters).
 
-Every check reads a row's limb planes, never a coefficient list.
-Neighbours are compared by a 64-bit key, the top 64 bits a coefficient
-can use (the sign bit flipped in a signed row, so keys order like
-values), and by their lower limbs only where keys tie. That gives the
-exact signs of a_m - a_{m-1} as one int8 vector, read by the
-unimodality, window and induction checks. A coefficient's sign is its
-top limb's sign, or zero where every limb is zero (the sign pattern
-check). Symmetry compares the planes with their mirror in chunks.
+Every check reads a row's limb planes, never a coefficient list, and
+none reads the row's coefficient bound. Neighbours are compared limb by
+limb from the top down, which gives the exact signs of a_m - a_{m-1} as
+one int8 vector, read by the unimodality, window and induction checks.
+A coefficient's sign is its top limb's sign, or zero where every limb is
+zero (the sign pattern check). Symmetry compares the planes with their
+mirror in chunks.
 """
 
 from __future__ import annotations
@@ -72,28 +71,17 @@ class CheckReport:
 def _steps(p: Polynomial, lo: int, hi: int) -> np.ndarray:
     """Exact signs of a_m - a_{m-1} for lo <= m <= hi, as one int8 vector.
 
-    A coefficient's bits from bits + signed up are copies of its sign, so
-    the key, its bits start..start+63 with start + 64 = max(bits + signed,
-    64) and the top one flipped in a signed row, orders neighbours as their
-    values do. A pair tied in its key is equal from ``start`` up, and its
-    lower limbs, compared whole and unsigned from the top down, decide it.
+    Neighbours are compared limb by limb from the top down, the top limb
+    as a signed integer in a signed row; the first limb where they differ
+    decides the pair.
     """
     planes = p.limbs[:, lo - 1 : hi + 1]
-    limb, shift = divmod(max(p.bits + p.signed, 64) - 64, 64)
-    keys = planes[limb]
-    if shift:
-        keys = (keys >> shift) | (planes[limb + 1] << (64 - shift))
-    if p.signed:
-        keys = keys ^ (1 << 63)
-    ka, kb = keys[1:], keys[:-1]
-    signs = (ka > kb).astype(np.int8) - (ka < kb)
-    tie = np.flatnonzero(ka == kb)
-    for k in range(limb - (shift == 0), -1, -1):
-        if not tie.size:
-            break
-        a, b = planes[k, tie + 1], planes[k, tie]
-        signs[tie] = (a > b).astype(np.int8) - (a < b)
-        tie = tie[a == b]
+    signs = np.zeros(planes.shape[1] - 1, np.int8)
+    for k in range(len(planes) - 1, -1, -1):
+        a, b = planes[k, 1:], planes[k, :-1]
+        if p.signed and k == len(planes) - 1:
+            a, b = a.view(np.int64), b.view(np.int64)
+        signs = np.where(signs != 0, signs, (a > b).astype(np.int8) - (a < b))
     return signs
 
 
@@ -180,7 +168,7 @@ def replay_induction(n_max: int) -> CheckReport:
         raise ValueError("n_max must be >= 0")
     rows = family_rows(ProductSpec.main(n_max))
     _, p = next(rows)
-    if not check_symmetric(p).passed or _shape(_steps(p, 1, p.degree), 0)[0] is not None:
+    if not (check_symmetric(p).passed and check_unimodal(p).passed):
         return CheckReport("induction", False, n=0, details="base row failed")
     for n, p in rows:
         sym = check_symmetric(p)

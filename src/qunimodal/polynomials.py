@@ -168,16 +168,10 @@ class ProductSpec:
 
     @classmethod
     def general(cls, factors: Sequence[tuple[int, int]]) -> "ProductSpec":
-        checked = []
-        for sign, exponent in factors:
-            sign = int(sign)
-            exponent = int(exponent)
-            if sign not in (1, -1):
-                raise ValueError(f"factor sign must be +1 or -1, got {sign}")
-            if exponent < 1:
-                raise ValueError(f"factor exponent must be >= 1, got {exponent}")
-            checked.append((sign, exponent))
-        return cls(family="general", factors=tuple(checked))
+        checked = tuple((int(sign), int(exponent)) for sign, exponent in factors)
+        for sign, exponent in checked:
+            _check_factor(sign, exponent, 2)
+        return cls(family="general", factors=checked)
 
     @classmethod
     def almkvist(cls, r: int, n: int) -> "ProductSpec":
@@ -385,23 +379,6 @@ def divide_exact(numerator: Polynomial, denominator: Polynomial) -> Polynomial:
     if any(rem):
         raise AlmkvistDivisionInexact("nonzero remainder after long division")
     return Polynomial(quot)
-
-
-def recurrence_step(prev: Polynomial, n: int) -> Polynomial:
-    """Advance the main family chain from row n-1 to row n.
-
-    Multiplying by (1 + q**(3n+1))(1 + q**(3n+2)) amounts to adding
-    three shifted copies of the previous row: coefficient m picks up the
-    values at m-(3n+1), m-(3n+2) and m-(6n+3).
-    """
-    if n < 1:
-        raise ValueError("recurrence_step needs n >= 1")
-    expected = main_degree(n - 1)
-    if prev.degree != expected:
-        raise DegreeMismatch(
-            f"previous row has degree {prev.degree}, expected {expected} for step n={n}"
-        )
-    return mul_binomial(mul_binomial(prev, 1, 3 * n + 1), 1, 3 * n + 2)
 
 
 def recurrence_step(prev: Polynomial, n: int) -> Polynomial:

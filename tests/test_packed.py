@@ -32,6 +32,7 @@ from qunimodal.checks import (
 from qunimodal.polynomials import (
     Polynomial,
     ProductSpec,
+    _widen,
     build_product,
     coeff,
     divide_exact,
@@ -166,16 +167,35 @@ class TestChecksOnPackedRows:
         st.sampled_from([1, -1]),
     )
     def test_neighbours_tied_in_their_top_64_bits(self, xs, shift, sign):
-        # Every entry shares its top 64 used bits, so each order is decided
-        # below the key: the tie fallback decides every comparison.
+        # Every entry shares its top 64 usable bits, so no order is decided
+        # there: each comparison reaches the lower limbs.
         cs = [sign * (1 << 300) + (x << shift) for x in xs]
         p = Polynomial(cs)
-        start = max(p.bits + p.signed, 64) - 64  # the key: bits start..start+63 of each slot
+        start = max(p.bits + p.signed, 64) - 64  # a slot's top 64 usable bits start here
         keys = {(c % 2 ** (64 * limb_count(p)) >> start) % 2**64 for c in cs}
         assert len(keys) == 1 and start > shift + 6
         assert_checks_match(p, cs)
         pattern = [sign, -sign]
         assert check_sign_pattern(p, 2, pattern).to_json_dict() == want_sign_pattern(cs, pattern)
+
+    @given(st.lists(entries, min_size=1, max_size=30), st.sampled_from([1, 3]), patterns)
+    def test_reports_do_not_depend_on_the_limb_layout(self, cs, extra, pattern):
+        # The same row in more limbs than it needs, its bound at the top of
+        # them and so far above its widest coefficient; a nonnegative row
+        # also flagged signed.
+        p = Polynomial(cs)
+        count = len(p.limbs) + extra
+        wide = _widen(p.limbs, p.signed, count)
+        layouts = [Polynomial._of(wide, 64 * count - 1, signed) for signed in {p.signed, True}]
+
+        def reports(q):
+            trims = range(min(3, q.degree // 2) + 1)
+            return [check_symmetric(q), check_unimodal(q), check_sign_pattern(q, len(pattern), pattern),
+                    *(check_almost_unimodal(q, a) for a in trims)]
+
+        for q in layouts:
+            assert len(q.limbs) == count
+            assert reports(q) == reports(p)
 
     @settings(deadline=None, max_examples=40)
     @given(st.data())

@@ -1,7 +1,10 @@
 """Each module declares its public names once, and the package re-exports them."""
 
+import ast
 import importlib
 import inspect
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +32,14 @@ def test_package_all_is_the_sum_of_the_modules():
     assert len(set(qunimodal.__all__)) == len(qunimodal.__all__)
     assert all(hasattr(qunimodal, attr) for attr in qunimodal.__all__)
     assert qunimodal.GAUSS_ORDER == 8 and qunimodal.MuInfo(3, True).in_window
+
+
+def test_no_module_defines_a_name_twice():
+    # A second top-level def or class of one name silently replaces the first.
+    for path in sorted(Path(qunimodal.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = Counter(
+            node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        )
+        assert [name for name, count in names.items() if count > 1] == [], path.name
