@@ -130,7 +130,9 @@ class BoundCertificate:
     over the evaluation grid, ``argmin`` the point where it occurs, and
     ``error_budget`` an upper estimate for the numerical error of the
     evaluation itself. ``passed`` requires the margin to clear the
-    budget, not merely to be positive.
+    budget, not merely to be positive; it is worked out from the two when
+    not given. Only the envelope (whose branches must pass too) and the
+    vacuous mu = 0 lobe certificate give it.
     """
 
     bound_id: str
@@ -140,9 +142,13 @@ class BoundCertificate:
     min_margin: float
     argmin: float
     error_budget: float
-    passed: bool
+    passed: bool | None = None
     n: int | None = None
     detail: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.passed is None:
+            self.passed = bool(self.min_margin > self.error_budget)
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -158,6 +164,15 @@ class BoundCertificate:
         if self.detail:
             out["detail"] = self.detail
         return out
+
+
+def _at_point(bound_id: str, x: float, margin: float, budget: float, detail: dict,
+              n: int | None = None) -> BoundCertificate:
+    """A certificate checked at the single point ``x``."""
+    x = float(x)
+    return BoundCertificate(bound_id=bound_id, grid_lo=x, grid_hi=x, grid_points=1,
+                            min_margin=float(margin), argmin=x, error_budget=float(budget),
+                            n=n, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -333,34 +348,35 @@ def e_exponent(n: int, theta: float) -> float:
     return float(values[0])
 
 
+def _envelope_terms(n: int) -> tuple[tuple[float, int, int], ...]:
+    """The exponent's four ratio terms weight * sin(frequency theta) / sin(multiple theta)."""
+    return (
+        (3.0 / 16.0, 6 * n + 5, 1),
+        (-1.0 / 64.0, 12 * n + 10, 2),
+        (-3.0 / 16.0, 6 * n + 3, 3),
+        (1.0 / 64.0, 12 * n + 6, 6),
+    )
+
+
 def envelope_exponent_grid(n: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The envelope exponent on a grid plus a per-point rounding error bound.
 
-    The error model charges each of the four ratio terms a few ulps of
-    its numerator argument divided by its denominator magnitude; the
+    The exponent is -11(n+1)/16 plus the ratio terms of
+    :func:`_envelope_terms`. The error model charges each term a few ulps
+    of its numerator argument divided by its denominator magnitude; the
     result is conservative but cheap, and it is what certificates quote
     as their error budget.
     """
-    s1 = np.sin(thetas)
-    s2 = np.sin(2.0 * thetas)
-    s3 = np.sin(3.0 * thetas)
-    s6 = np.sin(6.0 * thetas)
-    if (s1 == 0.0).any() or (s2 == 0.0).any() or (s3 == 0.0).any() or (s6 == 0.0).any():
+    terms = _envelope_terms(n)
+    denominators = [np.sin(multiple * thetas) for _, _, multiple in terms]
+    if any((s == 0.0).any() for s in denominators):
         raise SingularPoint("a sine denominator vanished on the evaluation grid")
-    values = (
-        -11.0 * (n + 1) / 16.0
-        + (3.0 / 16.0) * np.sin((6 * n + 5) * thetas) / s1
-        - (1.0 / 64.0) * np.sin((12 * n + 10) * thetas) / s2
-        - (3.0 / 16.0) * np.sin((6 * n + 3) * thetas) / s3
-        + (1.0 / 64.0) * np.sin((12 * n + 6) * thetas) / s6
-    )
-    eps = float(np.finfo(float).eps)
-    errors = 4.0 * eps * (
-        (3.0 / 16.0) * (1.0 + (6 * n + 5) * thetas) / np.abs(s1)
-        + (1.0 / 64.0) * (1.0 + (12 * n + 10) * thetas) / np.abs(s2)
-        + (3.0 / 16.0) * (1.0 + (6 * n + 3) * thetas) / np.abs(s3)
-        + (1.0 / 64.0) * (1.0 + (12 * n + 6) * thetas) / np.abs(s6)
-    )
+    values = -11.0 * (n + 1) / 16.0
+    spread = 0.0
+    for (weight, frequency, _), s in zip(terms, denominators):
+        values = values + weight * np.sin(frequency * thetas) / s
+        spread = spread + abs(weight) * (1.0 + frequency * thetas) / np.abs(s)
+    errors = 4.0 * float(np.finfo(float).eps) * spread
     return values, errors
 
 
@@ -371,14 +387,16 @@ def envelope_grid(n: int, grid_points: int) -> np.ndarray:
     half a grid step inward (in practice this only fires at theta = pi/2,
     where sin(2 theta) is a rounding error away from zero).
     """
+    if grid_points < 2:
+        raise ValueError(f"the envelope grid needs at least 2 points, got {grid_points}")
     lo = math.pi / (6 * n + 4)
     hi = math.pi / 2
     thetas = np.linspace(lo, hi, grid_points)
     step = (hi - lo) / (grid_points - 1)
     for _ in range(3):
         near = np.zeros(grid_points, dtype=bool)
-        for mult in (1.0, 2.0, 3.0, 6.0):
-            near |= np.abs(np.sin(mult * thetas)) < ENVELOPE_SINGULAR_TOL
+        for _, _, multiple in _envelope_terms(n):
+            near |= np.abs(np.sin(multiple * thetas)) < ENVELOPE_SINGULAR_TOL
         if not near.any():
             return thetas
         shift = np.where(thetas + step / 2 <= hi, step / 2, -step / 2)
@@ -511,28 +529,10 @@ def gamma_tail_certificates() -> list[BoundCertificate]:
     budget_star = 2e-6 * at_star
     margin_star = GAMMA_TAIL_CEILING - at_star
     return [
-        BoundCertificate(
-            bound_id="gamma_tail_at_zero",
-            grid_lo=0.0,
-            grid_hi=0.0,
-            grid_points=1,
-            min_margin=float(margin_zero),
-            argmin=0.0,
-            error_budget=0.0,
-            passed=bool(margin_zero > 0.0),
-            detail={"value": at_zero, "target": GAMMA_THREE_HALVES},
-        ),
-        BoundCertificate(
-            bound_id="gamma_tail_at_cutoff",
-            grid_lo=float(x_star),
-            grid_hi=float(x_star),
-            grid_points=1,
-            min_margin=float(margin_star),
-            argmin=float(x_star),
-            error_budget=float(budget_star),
-            passed=bool(margin_star > budget_star),
-            detail={"value": at_star, "ceiling": GAMMA_TAIL_CEILING, "x": float(x_star)},
-        ),
+        _at_point("gamma_tail_at_zero", 0.0, margin_zero, 0.0,
+                  {"value": at_zero, "target": GAMMA_THREE_HALVES}),
+        _at_point("gamma_tail_at_cutoff", x_star, margin_star, budget_star,
+                  {"value": at_star, "ceiling": GAMMA_TAIL_CEILING, "x": float(x_star)}),
     ]
 
 
@@ -550,18 +550,8 @@ def f_sweep_certificates(n_lo: int = 168, n_hi: int = 5000) -> list[BoundCertifi
     f168 = f_value(168)
     window_margin = min(F_168_CEILING - f168, f168 - F_168_FLOOR)
     certificates = [
-        BoundCertificate(
-            bound_id="f_168_window",
-            grid_lo=168.0,
-            grid_hi=168.0,
-            grid_points=1,
-            min_margin=float(window_margin),
-            argmin=168.0,
-            error_budget=1e-12,
-            passed=bool(window_margin > 1e-12),
-            n=168,
-            detail={"f_168": f168, "window": [F_168_FLOOR, F_168_CEILING]},
-        )
+        _at_point("f_168_window", 168.0, window_margin, 1e-12,
+                  {"f_168": f168, "window": [F_168_FLOOR, F_168_CEILING]}, n=168)
     ]
     decreases = logs[:-1] - logs[1:]
     idx = int(np.argmin(decreases))
@@ -574,7 +564,6 @@ def f_sweep_certificates(n_lo: int = 168, n_hi: int = 5000) -> list[BoundCertifi
             min_margin=float(decreases[idx]),
             argmin=float(ns[idx]),
             error_budget=1e-9,
-            passed=bool(decreases[idx] > 1e-9),
             detail={"metric": "decrease of log f between consecutive n"},
         )
     )
@@ -589,7 +578,6 @@ def f_sweep_certificates(n_lo: int = 168, n_hi: int = 5000) -> list[BoundCertifi
             min_margin=ceiling_margin,
             argmin=float(ns[dmax]),
             error_budget=1e-12,
-            passed=bool(ceiling_margin > 1e-12),
             detail={
                 "ceiling": F_LOG_DERIVATIVE_CEILING,
                 "max_log_derivative": float(derivs[dmax]),
@@ -741,7 +729,8 @@ def sweep_identity_residuals(samples: int = 1000, seed: int = 20260822) -> list[
     """Random (n, x) sweep of both identities against the 1e-9 residual bound.
 
     Sampling is seeded rather than adversarial: x is uniform on
-    [1e-3, pi - 1e-3] with redraws below the sine floor, n uniform on
+    [1e-3, pi - 1e-3], redrawn wherever :func:`trig_identity_residual`
+    raises :class:`NearSingular`, and n uniform on
     [1, 10000]. Each draw's direct sum, block-rotated sines summed exactly,
     is within 2e-11 of the true one; ``argmin`` and ``detail["worst_n"]``
     name the worst draw. Raises ``ValueError`` for ``samples < 1``: a
@@ -757,12 +746,11 @@ def sweep_identity_residuals(samples: int = 1000, seed: int = 20260822) -> list[
         while drawn < samples:
             n = int(rng.integers(1, IDENTITY_N_CAP + 1))
             x = float(rng.uniform(1e-3, math.pi - 1e-3))
-            if abs(math.sin(x)) < SIN_FLOOR:
-                continue
-            if identity == "sin4_sum" and abs(math.sin(2.0 * x)) < SIN_FLOOR:
+            try:
+                residual = abs(trig_identity_residual(identity, n, x))
+            except NearSingular:
                 continue
             drawn += 1
-            residual = abs(trig_identity_residual(identity, n, x))
             if residual > worst:
                 worst, worst_x, worst_n = residual, x, n
         certificates.append(
@@ -774,7 +762,6 @@ def sweep_identity_residuals(samples: int = 1000, seed: int = 20260822) -> list[
                 min_margin=float(IDENTITY_RESIDUAL_TOL - worst),
                 argmin=worst_x,
                 error_budget=0.0,
-                passed=bool(worst < IDENTITY_RESIDUAL_TOL),
                 detail={"max_abs_residual": worst, "worst_n": worst_n, "seed": seed, "n_cap": IDENTITY_N_CAP},
             )
         )
@@ -812,7 +799,6 @@ def sweep_inequality_margins(points: int = 10_000) -> list[BoundCertificate]:
                 min_margin=float(raw + INEQUALITY_SLACK),
                 argmin=float(xs[idx]),
                 error_budget=0.0,
-                passed=bool(raw > -INEQUALITY_SLACK),
                 detail={"raw_min_margin": raw, "slack": INEQUALITY_SLACK},
             )
         )
@@ -848,6 +834,7 @@ def lobe_ratio_certificates(n: int, mus) -> list[BoundCertificate]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    mus = list(mus)
     if any(mu < 0 for mu in mus):
         raise ValueError("mu must be >= 0")
     split = math.pi / (6 * n + 4)
@@ -915,7 +902,6 @@ def _lobe_certificate(n: int, mu: int, split: float, lobes) -> BoundCertificate:
         min_margin=float(min_margin),
         argmin=float(split),
         error_budget=float(budget),
-        passed=bool(min_margin > budget),
         n=n,
         detail=detail,
     )

@@ -13,6 +13,7 @@ from qunimodal.analytic import (
     GAMMA_THREE_HALVES,
     GAUSSIAN_RATE,
     IDENTITY_IDS,
+    BoundCertificate,
     certify_E_bound,
     coeff_by_integral,
     cosine_product,
@@ -28,6 +29,7 @@ from qunimodal.analytic import (
     i1_lower_bound,
     i2_ratio_check,
     integrand,
+    lobe_ratio_certificates,
     mu_of,
     quad_I,
     reconstruction_sweep,
@@ -490,6 +492,36 @@ class TestLobeRatio:
         with pytest.raises(ValueError):
             i2_ratio_check(5, -1)
 
+    def test_a_generator_of_offsets_gives_the_list_certificates(self):
+        # The domain check must not use up a one-shot iterable.
+        assert lobe_ratio_certificates(20, (mu for mu in [1, 3])) == lobe_ratio_certificates(20, [1, 3])
+
+
+class TestOnePassRule:
+    def test_passed_is_margin_above_budget(self):
+        certificates = [
+            certify_E_bound(168, 1000),
+            *gamma_tail_certificates(),
+            *f_sweep_certificates(168, 400),
+            *sweep_identity_residuals(60, seed=7),
+            *sweep_inequality_margins(1000),
+            *lobe_ratio_certificates(20, [0, 1, 3]),
+        ]
+        assert len(certificates) == 16
+        for cert in certificates:
+            if cert.bound_id == "envelope_exponent":
+                parts = [cert.to_json_dict(), *cert.detail["branches"].values()]
+                assert cert.passed == all(p["min_margin"] > p["error_budget"] for p in parts)
+            elif cert.detail.get("vacuous"):
+                assert cert.passed and cert.min_margin == cert.error_budget == 0.0
+            else:
+                assert cert.passed == (cert.min_margin > cert.error_budget), cert.bound_id
+
+    @pytest.mark.parametrize("margin, budget, passed", [(2.0, 1.0, True), (1.0, 1.0, False), (-1.0, 0.0, False)])
+    def test_passed_is_worked_out_when_not_given(self, margin, budget, passed):
+        cert = BoundCertificate("probe", 0.0, 1.0, 2, margin, 0.5, budget)
+        assert cert.passed is passed
+
 
 class TestReconstructionSweep:
     def test_small_rows(self):
@@ -595,6 +627,11 @@ class TestEnvelopeGrid:
         bound = -cert.detail["slope"] * 168 - cert.detail["intercept"]
         assert cert.min_margin == float(np.min(bound - values))
         assert cert.argmin == float(thetas[np.argmin(bound - values)])
+
+    @pytest.mark.parametrize("grid_points", [0, 1])
+    def test_fewer_than_two_points_are_refused(self, grid_points):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            envelope_grid(168, grid_points)
 
     def test_identity_sweep_reports_its_n_cap(self):
         for cert in sweep_identity_residuals(5, seed=3):
