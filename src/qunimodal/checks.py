@@ -170,6 +170,7 @@ def replay_induction(n_max: int) -> CheckReport:
     _, p = next(rows)
     if not (check_symmetric(p).passed and check_unimodal(p).passed):
         return CheckReport("induction", False, n=0, details="base row failed")
+    del p  # released before the stream builds the next row
     for n, p in rows:
         sym = check_symmetric(p)
         if not sym.passed:

@@ -200,12 +200,14 @@ def _cmd_induction(config: argparse.Namespace):
 
 
 def _cmd_borwein(config: argparse.Namespace):
-    reports = []
-    for n, p in enumerate(main_rows(config.n_max, sign=-1)):
+    reports, n = [], 0
+    for p in main_rows(config.n_max, sign=-1):  # enumerate would hold the last row while the next is built
         if n >= config.n_min:
             rep = check_sign_pattern(p, 3, "+--")
             rep.n = n
             reports.append(rep)
+        del p  # released before the stream builds the next row
+        n += 1
     return reports
 
 

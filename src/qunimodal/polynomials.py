@@ -11,7 +11,9 @@ t_2, ... terms bound the coefficients by t_1 t_2 ..., so a row's
 ``bits`` is the bit length of that product (337 bits, six limbs, for
 the last row of ``main_rows(167)``). No arithmetic builds a row-sized
 Python integer: ``.coeffs`` decodes every coefficient once, on first
-access, and :func:`dump_lines` decodes a block at a time.
+access, and :func:`dump_lines` decodes a block at a time. A stream
+writes each row into one reused array while the consumer holds no
+earlier row or view of one, else into a fresh one (:func:`product_rows`).
 
 :func:`family_rows` streams the rows of each product family, and
 :func:`build_product` is its last row:
@@ -27,6 +29,7 @@ access, and :func:`dump_lines` decodes a block at a time.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Iterator, Sequence
@@ -264,11 +267,15 @@ def product_rows(groups: Iterable[Iterable[tuple[int, ...]]]) -> Iterator[Polyno
 
     A factor is (sign, exponent) or (sign, exponent, terms). After factors
     of t_1, t_2, ... terms every |a_m| <= t_1 t_2 ..., so a row's ``bits``
-    is the bit length of that product. Each yielded row owns a fresh
-    array, so a row held by the consumer stays valid; the product before
-    a group's last factor goes to one scratch array of the last row's
-    size, earlier ones to arrays of their own. An empty group yields the
-    product so far unchanged.
+    is the bit length of that product. The product before a group's last
+    factor goes to one scratch array of the last row's size, earlier ones
+    to arrays of their own. The last factor of a group of two or more
+    writes its row into one ``home`` array of that size too, but only
+    while ``sys.getrefcount(home)`` is what it was before any view of
+    ``home`` existed: every view's ``.base`` is ``home``, so a row or a
+    plane view the consumer still holds sends the row to a fresh array,
+    and what it holds stays valid. Groups of one factor get fresh arrays.
+    An empty group yields the product so far unchanged.
 
     >>> [p.coeffs for p in product_rows([[(1, 1)], [], [(-1, 2)]])]
     [(1, 1), (1, 1), (1, 1, -1, -1)]
@@ -280,11 +287,14 @@ def product_rows(groups: Iterable[Iterable[tuple[int, ...]]]) -> Iterator[Polyno
     groups = [[factor for factor in group if factor[2] > 1] for group in groups]  # one term: the identity
     bits = prod(terms for _, _, terms in factors).bit_length()
     size = _limb_count(bits, any(sign < 0 for sign, _, _ in factors)) * (1 + sum((t - 1) * e for _, e, t in factors))
-    scratch = np.empty(size, np.uint64) if any(len(group) > 1 for group in groups) else None
+    many = any(len(group) > 1 for group in groups)
+    scratch, home = (np.empty(size, np.uint64), np.empty(size, np.uint64)) if many else (None, None)
+    free = sys.getrefcount(home)  # read before any view of home holds a reference to it
     limbs, bound, signed = np.ones((1, 1), np.uint64), 1, False
     for group in groups:
         for i, (sign, exponent, terms) in enumerate(group):
-            buffer = scratch if i == len(group) - 2 else None
+            reuse = i == len(group) - 1 > 0 and sys.getrefcount(home) == free  # no row or view uses home
+            buffer = scratch if i == len(group) - 2 else home if reuse else None
             was_signed, signed, bound = signed, signed or sign < 0, bound * terms
             limbs = _times(limbs, was_signed, sign, exponent, terms, _limb_count(bound.bit_length(), signed), buffer)
         yield Polynomial._of(limbs, bound.bit_length(), signed)
@@ -305,7 +315,7 @@ def family_rows(spec: ProductSpec) -> Iterator[tuple[int | None, Polynomial]]:
     ``general`` product is one row, tagged n = None. No reference to a row
     is kept once the stream moves on (``enumerate`` would keep one), so a
     consumer that drops its row before asking for the next holds one row
-    fewer while the next is built.
+    fewer while the next is built, and the next goes to the reused array.
     """
     if spec.family == "main":
         rows, n = main_rows(spec.n), 0

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qunimodal import cli
+from qunimodal import cli, polynomials
 from qunimodal.checks import (
     check_almost_unimodal,
     check_lemma_range,
@@ -453,6 +453,67 @@ class TestHeldRows:
         assert held[2] == held[1]
         bases = [p.limbs.base if p.limbs.base is not None else p.limbs for p in held]
         assert len({id(b) for b in bases}) == 3  # the empty group repeats its row
+
+    def test_a_held_row_survives_later_rows(self):
+        rows = main_rows(30)
+        for _ in range(10):
+            next(rows)
+        held = next(rows)
+        for _ in range(20):
+            next(rows)
+        assert list(held.coeffs) == oracle_main_rows(10)[10]
+
+    def test_a_held_plane_view_survives_later_rows(self):
+        rows = main_rows(40)
+        for _ in range(5):
+            next(rows)
+        p = next(rows)
+        v = p.limbs[0]
+        want = v.copy()
+        del p
+        for _ in range(20):
+            next(rows)
+        assert np.array_equal(v, want)
+
+    @pytest.mark.parametrize("stream", ["main", "signed", "family"])
+    def test_rows_the_consumer_drops_share_one_buffer(self, stream):
+        rows = {
+            "main": lambda: main_rows(30),
+            "signed": lambda: main_rows(30, sign=-1),
+            "family": lambda: family_rows(ProductSpec.main(30)),
+        }[stream]()
+        addresses, coefficients = [], []
+        for p in rows:
+            if stream == "family":
+                _, p = p
+            # The data pointer only: holding ``p.limbs.base`` would keep the buffer in use.
+            addresses.append(p.limbs.__array_interface__["data"][0])
+            coefficients.append(list(p.coeffs))
+            del p
+        assert coefficients == oracle_main_rows(30, sign=-1 if stream == "signed" else 1)
+        assert len(addresses) == 31 and len(set(addresses[1:])) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n-max", "30"],
+        ["lemma", "--n-max", "30"],
+        ["induction", "--n-max", "30"],
+        ["borwein", "--n-max", "30"],
+        ["expand", "--n", "30"],
+    ], ids=lambda argv: argv[0])
+    def test_commands_drop_their_rows(self, argv, tmp_path, monkeypatch):
+        addresses = []
+
+        def recorded(*args):
+            out = times(*args)
+            addresses.append(out.__array_interface__["data"][0])
+            return out
+
+        times = polynomials._times
+        monkeypatch.setattr(polynomials, "_times", recorded)
+        flag = "--out" if argv[0] == "expand" else "--report"
+        assert cli.main([*argv, flag, str(tmp_path / "out")]) == 0
+        finals = addresses[1::2]  # each main row is a group of two factors
+        assert len(finals) == 31 and len(set(finals[1:])) == 1
 
     def test_yielded_planes_are_not_writeable(self):
         rows = [*main_rows(3), *main_rows(3, sign=-1), *(p for _, p in family_rows(ProductSpec.almkvist(3, 4)))]
