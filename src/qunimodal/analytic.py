@@ -592,17 +592,19 @@ def f_sweep_certificates(n_lo: int = 168, n_hi: int = 5000) -> list[BoundCertifi
 
 
 _SPLITTER = 134217729.0  # 2**27 + 1
-_SINE_BLOCK = 128  # angles per block of the rotated sine table
+_SINE_BLOCK = 128  # angles per row of the rotated sine table
+_CHUNK_ROWS = 256  # rows of sines one direct-sum pass holds, 256 KB per buffer
+_DRAW_BLOCK = 256  # accepted draws the identity sweep works out per call
 
 
-def _sin_multiple(k, x: float):
-    """(sin(k x), cos(k x)) for an integer k, or an array of them, without the k*x rounding error.
+def _sin_multiple(k, x):
+    """(sin(k x), cos(k x)) for integer k and angle x, or arrays of them, without the k*x rounding error.
 
     Splits x so k times the head is exact in double precision, then
     corrects with the tail through the addition formulas: each value is
     within about 1 ulp of 1 (2**-52), where a plain k*x at k around 2e4
     carries a few 1e-12 of angle error. Feeds the closed forms and the
-    two tables that :func:`_sines` rotates into the direct sums.
+    two tables that :func:`_sine_rows` rotates into the direct sums.
     """
     if np.max(k) > 1 << 25:
         return np.sin(k * x), np.cos(k * x)
@@ -615,29 +617,87 @@ def _sin_multiple(k, x: float):
     return sin_big * cos_small + cos_big * sin_small, cos_big * cos_small - sin_big * sin_small
 
 
-def _sines(n: int, x: float) -> np.ndarray:
-    """sin(k x) for k = 1..n as sin((mB + j) x) = sin(mBx) cos(jx) + cos(mBx) sin(jx).
+def _sine_rows(ns: np.ndarray, xs: np.ndarray, buffers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows m of sin((mB + j) x) = sin(mBx) cos(jx) + cos(mBx) sin(jx), j < B = 128, for each draw (n, x).
 
-    B = ``_SINE_BLOCK``; both tables come from :func:`_sin_multiple`, so a
-    call costs about 4 (B + n/B) transcendentals instead of 4n, and each
-    sine is within a few ulps of 1 (2 * 2**-52 at n = 10,000). For n < B
-    the one block start is sin 0 = 0, cos 0 = 1: the sines are bit-equal.
+    Both tables come from :func:`_sin_multiple`: about 4 (B + n/B)
+    transcendentals per draw instead of 4n, each sine within a few ulps
+    of 1 (2 * 2**-52 at n = 10,000), and for n < B bit-equal to sin(kx)
+    from :func:`_sin_multiple` (the one block start is sin 0 = 0). Writes
+    k = 0..n (zero past n) into ``buffers[0]``, with ``buffers[1]`` as
+    scratch; returns those rows and each draw's first row.
     """
-    sin_j, cos_j = _sin_multiple(np.arange(_SINE_BLOCK), x)
-    sin_m, cos_m = _sin_multiple(_SINE_BLOCK * np.arange(n // _SINE_BLOCK + 1), x)
-    return (np.outer(sin_m, cos_j) + np.outer(cos_m, sin_j)).ravel()[1 : n + 1]
+    counts = ns // _SINE_BLOCK + 1
+    starts = np.cumsum(counts) - counts
+    draw = np.repeat(np.arange(len(ns)), counts)
+    sin_j, cos_j = _sin_multiple(np.arange(_SINE_BLOCK), xs[:, None])
+    sin_m, cos_m = _sin_multiple(_SINE_BLOCK * (np.arange(len(draw)) - starts[draw]), xs[draw])
+    sines, other = buffers[0, : len(draw)], buffers[1, : len(draw)]
+    np.take(cos_j, draw, axis=0, out=sines)
+    sines *= sin_m[:, None]
+    np.take(sin_j, draw, axis=0, out=other)
+    other *= cos_m[:, None]
+    sines += other
+    draw_of_pad, pad = np.nonzero(np.arange(_SINE_BLOCK) > (ns % _SINE_BLOCK)[:, None])
+    sines[(starts + counts - 1)[draw_of_pad], pad] = 0.0
+    return sines, starts
+
+
+def _sine_power_sums(ns: np.ndarray, xs: np.ndarray, power: int,
+                     buffers: np.ndarray | None = None) -> np.ndarray:
+    """sum_{k=1}^{n} sin^power(kx), power 2 or 4, for each draw, each correctly rounded from its terms.
+
+    Chunks of whole draws, at most ``_CHUNK_ROWS`` rows unless one draw is
+    longer, go in order through ``buffers``: sines, powers and scratch, of
+    rows of 128, allocated here if not given. ``_exact_parts`` splits each
+    draw's terms into columns of the same exact sum, and one fsum rounds
+    them once, so no sum depends on the chunk its draw shared.
+    """
+    counts, sums, lo = ns // _SINE_BLOCK + 1, [], 0
+    if buffers is None:
+        buffers = np.empty((3, max(_CHUNK_ROWS, counts.max()), _SINE_BLOCK))
+    while lo < len(ns):
+        hi = lo + max(1, int(np.searchsorted(np.cumsum(counts[lo:]), _CHUNK_ROWS, "right")))
+        sines, starts = _sine_rows(ns[lo:hi], xs[lo:hi], buffers)
+        terms, scratch = buffers[1, : len(sines)], buffers[2, : len(sines)]
+        np.multiply(sines, sines, out=terms)
+        if power == 4:
+            terms *= terms
+        sums += [math.fsum(parts) for parts in _exact_parts(terms, starts, scratch).tolist()]
+        lo = hi
+    return np.array(sums)
+
+
+def _sines(n: int, x: float) -> np.ndarray:
+    """sin(k x) for k = 1..n, one draw of :func:`_sine_rows`."""
+    buffers = np.empty((2, n // _SINE_BLOCK + 1, _SINE_BLOCK))
+    return _sine_rows(np.array([n]), np.array([x]), buffers)[0].ravel()[1 : n + 1].copy()
 
 
 def _sine_power_sum(n: int, x: float, power: int) -> float:
-    """sum_{k=1}^{n} sin^power(kx), power 2 or 4, correctly rounded from its terms.
+    """sum_{k=1}^{n} sin^power(kx), one draw of :func:`_sine_power_sums`."""
+    return float(_sine_power_sums(np.array([n]), np.array([x]), power)[0])
 
-    The error-free extraction ``_exact_parts`` splits the terms into a few
-    columns of the same exact sum; one fsum over those rounds once.
-    """
-    terms = _sines(n, x) ** 2
-    if power == 4:
-        terms = terms ** 2
-    return math.fsum(_exact_parts(terms[None, :])[0].tolist())
+
+def _denominators(identity: str, x: float) -> list[float]:
+    """sin x, and for sin4_sum sin 2x: the closed forms' denominators, NearSingular below the 1e-3 floor."""
+    if identity not in IDENTITY_IDS:
+        raise ValueError(f"unknown identity {identity!r}")
+    sines = [math.sin(x)] if identity == "sin2_sum" else [math.sin(x), math.sin(2.0 * x)]
+    for name, sine in zip(("x", "2x"), sines):
+        if abs(sine) < SIN_FLOOR:
+            raise NearSingular(f"|sin {name}| = {abs(sine):.2e} is below the {SIN_FLOOR} floor")
+    return sines
+
+
+def _identity_residuals(identity: str, draws: list[tuple], buffers: np.ndarray | None = None) -> np.ndarray:
+    """Closed form minus direct sum for each draw, a tuple of n, x and its :func:`_denominators`."""
+    ns, xs, *sines = (np.array(column) for column in zip(*draws))
+    spread = _sin_multiple(2 * ns + 1, xs)[0] / (4.0 * sines[0])
+    if identity == "sin2_sum":
+        return 0.5 * ns - spread + 0.25 - _sine_power_sums(ns, xs, 2, buffers)
+    closed = 0.375 * ns - spread + _sin_multiple(2 * ns + 1, 2.0 * xs)[0] / (16.0 * sines[1]) + 0.1875
+    return closed - _sine_power_sums(ns, xs, 4, buffers)
 
 
 def trig_identity_residual(identity: str, n: int, x: float) -> float:
@@ -647,34 +707,17 @@ def trig_identity_residual(identity: str, n: int, x: float) -> float:
     sin4_sum: sum_{k=1}^{n} sin^4(kx) = 3n/8 - sin((2n+1)x)/(4 sin x)
               + sin((2n+1) 2x)/(16 sin 2x) + 3/16
 
-    The direct sum rotates one block of sines (each within a few ulps) and
-    adds their p-th powers exactly, rounding once: it is within about
-    p*n*4.4e-16 <= 2e-11 of the true sum for n <= 10,000, far below the
-    1e-9 bound. Raises :class:`NearSingular` when a denominator sine is
-    below the 1e-3 floor the residual contract is stated for.
+    One draw of the sweep's kernel: the direct sum rotates one block of
+    sines (each within a few ulps) and adds their p-th powers exactly,
+    rounding once, so it is within about p*n*4.4e-16 <= 2e-11 of the true
+    sum for n <= 10,000, far below the 1e-9 bound. Raises
+    :class:`NearSingular` when a denominator sine is below the 1e-3 floor
+    the residual contract is stated for.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    sx = math.sin(x)
-    if abs(sx) < SIN_FLOOR:
-        raise NearSingular(f"|sin x| = {abs(sx):.2e} is below the {SIN_FLOOR} floor")
-    if identity == "sin2_sum":
-        closed = 0.5 * n - _sin_multiple(2 * n + 1, x)[0] / (4.0 * sx) + 0.25
-        direct = _sine_power_sum(n, x, 2)
-    elif identity == "sin4_sum":
-        s2x = math.sin(2.0 * x)
-        if abs(s2x) < SIN_FLOOR:
-            raise NearSingular(f"|sin 2x| = {abs(s2x):.2e} is below the {SIN_FLOOR} floor")
-        closed = (
-            0.375 * n
-            - _sin_multiple(2 * n + 1, x)[0] / (4.0 * sx)
-            + _sin_multiple(2 * n + 1, 2.0 * x)[0] / (16.0 * s2x)
-            + 0.1875
-        )
-        direct = _sine_power_sum(n, x, 4)
-    else:
-        raise ValueError(f"unknown identity {identity!r}")
-    return float(closed - direct)
+    draw = (n, x, *_denominators(identity, x))
+    return float(_identity_residuals(identity, [draw])[0])
 
 
 def _ratio_27_1(n, x):
@@ -730,29 +773,36 @@ def sweep_identity_residuals(samples: int = 1000, seed: int = 20260822) -> list[
 
     Sampling is seeded rather than adversarial: x is uniform on
     [1e-3, pi - 1e-3], redrawn wherever :func:`trig_identity_residual`
-    raises :class:`NearSingular`, and n uniform on
-    [1, 10000]. Each draw's direct sum, block-rotated sines summed exactly,
-    is within 2e-11 of the true one; ``argmin`` and ``detail["worst_n"]``
-    name the worst draw. Raises ``ValueError`` for ``samples < 1``: a
-    sweep that draws nothing has no worst residual to certify.
+    would raise :class:`NearSingular`, and n uniform on [1, 10000].
+    Accepted draws are worked out 256 at a time through row buffers
+    allocated once, so memory does not grow with ``samples``, and each
+    residual has the bits of :func:`trig_identity_residual`. ``argmin``
+    and ``detail["worst_n"]`` name the worst draw, the first of a tie.
+    Raises ``ValueError`` for ``samples < 1``: a sweep that draws nothing
+    has no worst residual to certify.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
+    buffers = np.empty((3, max(_CHUNK_ROWS, IDENTITY_N_CAP // _SINE_BLOCK + 1), _SINE_BLOCK))
     certificates = []
     for identity in IDENTITY_IDS:
         worst, worst_x, worst_n = -1.0, 0.0, 0
         drawn = 0
         while drawn < samples:
-            n = int(rng.integers(1, IDENTITY_N_CAP + 1))
-            x = float(rng.uniform(1e-3, math.pi - 1e-3))
-            try:
-                residual = abs(trig_identity_residual(identity, n, x))
-            except NearSingular:
-                continue
-            drawn += 1
-            if residual > worst:
-                worst, worst_x, worst_n = residual, x, n
+            block = []
+            while len(block) < min(_DRAW_BLOCK, samples - drawn):
+                n = int(rng.integers(1, IDENTITY_N_CAP + 1))
+                x = float(rng.uniform(1e-3, math.pi - 1e-3))
+                try:
+                    block.append((n, x, *_denominators(identity, x)))
+                except NearSingular:
+                    pass
+            drawn += len(block)
+            residuals = np.abs(_identity_residuals(identity, block, buffers))
+            i = int(np.argmax(residuals))
+            if residuals[i] > worst:
+                worst, worst_n, worst_x = float(residuals[i]), *block[i][:2]
         certificates.append(
             BoundCertificate(
                 bound_id=f"identity_residual_{identity}",

@@ -59,39 +59,59 @@ class QuadratureResult:
     panels: int
 
 
-def _panel_sums(vals: np.ndarray) -> np.ndarray:
-    """Gauss sum of each panel, shape (rows, panels), from (rows, nodes, panels).
+def _panel_sums(f: Callable, lefts: np.ndarray, h: float) -> tuple[np.ndarray, bool]:
+    """Gauss sum of each panel at ``lefts`` for each row of f, then of |f|; and whether f gave rows.
 
     Node by node in a fixed order, so a panel's sum has the same bits in
     any chunk; a BLAS product may round a row by its place in the matrix.
+    The chunk's points and values are freed on return, before the next's.
     """
-    total = vals[:, 0] * _WEIGHTS[0]
-    for node in range(1, GAUSS_ORDER):
-        total += vals[:, node] * _WEIGHTS[node]
-    return total
+    vals = np.asarray(f((lefts + _OFFSETS[:, None] * h).ravel()), dtype=float)
+    many = vals.ndim == 2
+    vals = vals.reshape(-1, GAUSS_ORDER, len(lefts))
+    sums = []
+    for v in (vals, np.abs(vals)):
+        total = v[:, 0] * _WEIGHTS[0]
+        for node in range(1, GAUSS_ORDER):
+            total += v[:, node] * _WEIGHTS[node]
+        sums.append(total)
+    return np.concatenate(sums), many
 
 
-def _exact_parts(values: np.ndarray) -> np.ndarray:
-    """Columns whose sum is exactly the sum of each row of ``values``.
+def _exact_parts(values: np.ndarray, starts: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
+    """Columns whose sum is exactly the sum of each segment of rows of ``values``.
 
-    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
-    summation part I", SIAM J. Sci. Comput. 31, 2008): with sigma a power
-    of two at least (columns + 2) times a row's largest magnitude,
-    q = (sigma + p) - sigma and p - q are exact and the q add up exactly
-    in any order. Each round moves 38 or more top bits of a row into one
-    column; the last column is the remainder, zero unless a row holds an
-    infinite, NaN or near-overflow entry, which then sums to NaN.
+    Segment i is the rows from ``starts[i]`` up to the next start, by
+    default one row. Error-free extraction (Rump, Ogita and Oishi,
+    "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31,
+    2008): with sigma a power of two at least (entries + 2) times the
+    largest magnitude, q = (sigma + p) - sigma and p - q are exact, and
+    the q lie on sigma's grid, so each segment's q add up exactly in any
+    order. One sigma serves every segment, so each step is one scalar
+    operation over the whole array. Each round moves 38 or more top bits
+    into one column; the last column is the remainder, zero for finite
+    entries. An infinite, NaN or near-overflow entry makes every
+    segment's sum NaN. ``values`` is overwritten; ``scratch`` of its shape
+    is reused if given.
     """
-    grow = 2.0 ** math.ceil(math.log2(values.shape[1] + 2))
+    starts = np.arange(len(values)) if starts is None else starts
+    scratch = np.empty_like(values) if scratch is None else scratch
+    flat, spare = values.reshape(-1), scratch.reshape(-1)
+    bounds = starts * values.shape[1]
+    grow = 2.0 ** math.ceil(math.log2(np.diff(bounds, append=flat.size).max() + 2))
+    top = np.maximum(flat.max(), -flat.min())
+    if not np.isfinite(top):
+        return np.full((len(bounds), 1), np.nan)
     parts = []
-    top = np.max(np.abs(values), axis=1)
-    while np.any(top > 0):
-        sigma = np.ldexp(grow, np.frexp(top)[1])[:, None]
-        extracted = (sigma + values) - sigma
-        values = values - extracted
-        parts.append(extracted.sum(axis=1))
-        top = np.max(np.abs(values), axis=1)
-    parts.append(values.sum(axis=1))
+    while top > 0:
+        sigma = np.ldexp(grow, np.frexp(top)[1])
+        np.add(flat, sigma, out=spare)
+        spare -= sigma
+        flat -= spare
+        parts.append(np.add.reduceat(spare, bounds))
+        top = np.maximum(flat.max(), -flat.min())
+    parts.append(np.add.reduceat(flat, bounds))
     return np.stack(parts, axis=1)
 
 
@@ -110,15 +130,10 @@ def _composite(f: Callable, a: float, b: float, panels: int) -> tuple[np.ndarray
     parts = None
     start, count = 0, 1
     while count:
-        lefts = a + (start + np.arange(count)) * h
-        x = (lefts + _OFFSETS[:, None] * h).ravel()
-        vals = np.asarray(f(x), dtype=float)
-        many = vals.ndim == 2
-        vals = vals.reshape(-1, GAUSS_ORDER, count)
-        sums = _exact_parts(np.concatenate((_panel_sums(vals), _panel_sums(np.abs(vals)))))
-        parts = sums if parts is None else _exact_parts(np.concatenate((parts, sums), axis=1))
+        sums, many = _panel_sums(f, a + (start + np.arange(count)) * h, h)
+        parts = _exact_parts(sums if parts is None else np.concatenate((parts, sums), axis=1))
         start += count
-        count = min(max(_MIN_CHUNK_PANELS, _CHUNK_VALUES // (GAUSS_ORDER * len(vals))), panels - start)
+        count = min(max(_MIN_CHUNK_PANELS, _CHUNK_VALUES // (GAUSS_ORDER * len(sums) // 2)), panels - start)
     totals = np.array([math.fsum(row) for row in parts.tolist()]) * (h / 2.0)
     value, total_abs = np.split(totals, 2)
     return value, total_abs, many

@@ -5,10 +5,12 @@ The exact integer layer cross-checks the integral reconstruction.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qunimodal import analytic
 from qunimodal.analytic import (
     GAMMA_THREE_HALVES,
     GAUSSIAN_RATE,
@@ -40,6 +42,7 @@ from qunimodal.analytic import (
     trig_inequality_margin,
 )
 from qunimodal.analytic import _sin_multiple, _sine_power_sum, _sines
+from qunimodal.analytic import _sine_power_sums
 from qunimodal.errors import (
     DomainViolation,
     GridTooCoarse,
@@ -438,6 +441,34 @@ class TestTrigIdentities:
             assert worst in accepted
             assert abs(trig_identity_residual(identity, *worst)) == cert.detail["max_abs_residual"]
 
+    @pytest.mark.parametrize("budget", [1, 3, None])
+    def test_batching_changes_no_bit(self, monkeypatch, budget):
+        # Chunks of whole draws give each draw's sum the bits of its own
+        # one-draw call, whatever the row and draw budgets.
+        want_certs = [c.to_json_dict() for c in sweep_identity_residuals(200, seed=35)]
+        if budget is not None:
+            monkeypatch.setattr(analytic, "_CHUNK_ROWS", budget)
+            monkeypatch.setattr(analytic, "_DRAW_BLOCK", budget)
+        draws = [(n, x) for n in (1, 127, 128, 129, 255, 256, 10_000)
+                 for x in (1.234, math.pi / 64, math.pi / 2 - 5.1e-4)]
+        draws = [draws[i] for i in np.random.default_rng(5).permutation(len(draws))]
+        ns, xs = np.array([n for n, _ in draws]), np.array([x for _, x in draws])
+        squares = [_sines(n, x) ** 2 for n, x in draws]
+        assert _sine_power_sums(ns, xs, 2).tolist() == [math.fsum(s.tolist()) for s in squares]
+        assert _sine_power_sums(ns, xs, 4).tolist() == [math.fsum((s ** 2).tolist()) for s in squares]
+        assert [c.to_json_dict() for c in sweep_identity_residuals(200, seed=35)] == want_certs
+
+    def test_default_seed_certificates(self):
+        sin2, sin4 = sweep_identity_residuals()
+        for cert, argmin, residual, worst_n, margin in (
+            (sin2, 1.43029347127775, 9.094947017729282e-13, 9395, 9.990905052982271e-10),
+            (sin4, 1.8579005561607367, 4.547473508864641e-13, 6497, 9.995452526491136e-10),
+        ):
+            assert cert.argmin == argmin
+            assert cert.min_margin == margin
+            assert cert.detail == {"max_abs_residual": residual, "worst_n": worst_n,
+                                   "seed": 20260822, "n_cap": 10_000}
+
 
 class TestTrigInequalities:
     def test_sin_lower_bound_value(self):
@@ -658,3 +689,15 @@ class TestIdentitySweepSamples:
     def test_empty_sweep_is_refused(self, samples):
         with pytest.raises(ValueError, match="samples"):
             sweep_identity_residuals(samples)
+
+    def test_memory_does_not_grow_with_samples(self):
+        sweep_identity_residuals(10, seed=7)  # first-call allocations
+        peaks = []
+        for samples in (300, 3000):
+            tracemalloc.start()
+            try:
+                sweep_identity_residuals(samples, seed=7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.5 * 2**20
