@@ -29,8 +29,9 @@ fold bit for bit.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -200,16 +201,43 @@ def cosine_product(n: int, theta):
     never overflows, and for n < 511 only the final scaling is left.
     Angles are taken ``_COSINE_SLICE`` at a time, so the two tables take
     256 KB; every step is elementwise, so a value does not depend on its
-    slice.
+    slice, nor on the thread that computes it. On the rotation path
+    (n >= B), a call of more than one slice, in a process that may run on
+    more than one CPU, shares its slices with one helper thread: each
+    takes the next slice start from one iterator and writes its own part
+    of the output (numpy drops the GIL inside each ufunc). Any other call
+    starts no thread.
     """
     th = np.asarray(theta, dtype=float)
     out = np.empty_like(th)
     flat_th, flat_out = th.reshape(-1), out.reshape(-1)
-    for start in range(0, flat_th.size, _COSINE_SLICE):
-        stop = start + _COSINE_SLICE
-        flat_out[start:stop] = _cosine_product_slice(n, flat_th[start:stop])
+    starts = iter(range(0, flat_th.size, _COSINE_SLICE))
+
+    def drain():
+        for start in starts:
+            stop = start + _COSINE_SLICE
+            flat_out[start:stop] = _cosine_product_slice(n, flat_th[start:stop])
+
+    if n >= _COSINE_BLOCK and flat_th.size > _COSINE_SLICE and _cpu_count() > 1:
+        helper = _helper().submit(drain)
+        try:
+            drain()
+        finally:
+            helper.result()  # waits for the helper's last slice and re-raises its error
+    else:
+        drain()
     np.ldexp(out, -((n + 1) % 512), out=out)
     return out[()]
+
+
+def _cpu_count() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@cache
+def _helper():
+    from concurrent.futures import ThreadPoolExecutor  # only processes that use it import it
+    return ThreadPoolExecutor(max_workers=1)
 
 
 def _cosine_product_slice(n: int, th: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -241,7 +242,58 @@ class TestAnalyticCommands:
         assert len(lines) == 400 - 168 + 2
 
 
+class TestThresholdCertificates:
+    def test_lobe_ratio_at_168_is_pinned(self, tmp_path, capsys):
+        code, report = run_report(["certify", "--n", "168", "--i2-n", "168", "--i2-mu", "301,711"],
+                                  tmp_path, capsys)
+        assert code == 0
+        lobes = [r for r in report["results"] if r["bound_id"] == "lobe_ratio"]
+        got = [(r["detail"]["mu"], r["detail"]["i1"], r["detail"]["i2"], r["error_budget"], r["min_margin"])
+               for r in lobes]
+        assert got == [
+            (301, 2.4007418238037333e-09, 2.7485221591909643e-66, 3.4530183573060456e-23, 7.011552854383202e-10),
+            (711, 5.630733229837707e-09, 5.507667752405198e-66, 8.249907370694287e-23, 1.616095260476216e-09),
+        ]
+        for r in lobes:
+            assert (r["detail"]["i1_panels"], r["detail"]["i2_panels"], r["grid"]["points"]) == (86, 43262, 43348)
+            assert r["passed"] is True
+
+
+# Runs commands one after another in one process and reports, after each,
+# its exit code, the live threads and whether concurrent.futures was imported.
+THREAD_PROBE = """
+import json, sys, threading
+from qunimodal.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    seen.append([code, threading.active_count(), "concurrent.futures" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
 class TestProcessEntry:
+    def test_only_the_threshold_lobe_starts_a_thread(self, tmp_path):
+        # Only the rotated cosine product (n >= 16) of more than one slice
+        # shares its slices with a helper thread, and only on two or more CPUs.
+        commands = [
+            ["integral", "--sign-accord", "--report", "sign.json"],
+            ["integral", "--n", "8", "--report", "integral.json"],
+            ["trig", "--samples", "50", "--report", "trig.json"],
+            ["verify", "--n-max", "20", "--report", "verify.json"],
+            ["expand", "--n", "20", "--out", "rows.txt"],
+            ["certify", "--n", "168", "--i2-n", "168", "--i2-mu", "301", "--report", "lobe.json"],
+        ]
+        proc = subprocess.run([sys.executable, "-c", THREAD_PROBE, json.dumps(commands)],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert len(seen) == len(commands)
+        for argv, (_, threads, futures) in zip(commands, seen[:-1]):
+            assert (threads, futures) == (1, False), argv
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert seen[-1] == ([0, 2, True] if cpus > 1 else [0, 1, False])
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qunimodal.cli", "borwein", "--n-max", "3", "--report", "-"],

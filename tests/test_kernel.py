@@ -6,11 +6,15 @@ checked against their one-row counterparts.
 """
 
 import math
+import os
+import sys
+import threading
 
 import mpmath
 import numpy as np
 import pytest
 
+from qunimodal import analytic
 from qunimodal.analytic import _COSINE_SLICE, cosine_product, i2_ratio_check, lobe_ratio_certificates
 from qunimodal.quadrature import integrate_oscillatory
 
@@ -86,6 +90,16 @@ class TestCosineProduct:
         assert cosine_product(3, 0.3) == pytest.approx(float(_exact_product(3, 0.3)), abs=4 * EPS)
 
 
+def _pin_cpus(monkeypatch, count: int) -> None:
+    """Make the process look as if it may run on ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def _no_helper():
+    raise AssertionError("a serial call asked for the helper thread")
+
+
 class TestBlockedCosineProduct:
     """cos((6k+3) t) for k = 16m + j from a table of j < 16, rotated by 6*16*m t."""
 
@@ -98,11 +112,84 @@ class TestBlockedCosineProduct:
             want *= np.cos(thetas * (6 * k + 3)) + c1
         assert np.array_equal(cosine_product(n, thetas), np.ldexp(want, -(n + 1)))
 
-    @pytest.mark.parametrize("n", [8, 168])
-    def test_value_does_not_depend_on_its_slice(self, n):
-        thetas = np.random.default_rng(7).uniform(0.0, math.pi / 2, 2 * _COSINE_SLICE + 37)
-        got = cosine_product(n, thetas)
-        assert got.tolist() == [float(cosine_product(n, theta)) for theta in thetas]
+    @pytest.mark.parametrize("n", [8, 16, 168, 600])
+    def test_value_does_not_depend_on_its_slice(self, n, monkeypatch):
+        # From n = 16 on, a call of several slices shares them with a helper
+        # thread wherever two CPUs are free: neither the split nor the slice
+        # may move a bit.
+        rng = np.random.default_rng(7)
+        for size in (1, _COSINE_SLICE, 2 * _COSINE_SLICE, 3 * _COSINE_SLICE, 33 * _COSINE_SLICE + 37):
+            thetas = rng.uniform(0.0, math.pi / 2, size)
+            got = cosine_product(n, thetas)
+            if size <= 3 * _COSINE_SLICE and n < 512:
+                picks = range(size)
+            else:  # each slice's ends and every 97th angle: one call each
+                picks = sorted({*range(0, size, 97), *range(0, size, _COSINE_SLICE),
+                                *range(_COSINE_SLICE - 1, size, _COSINE_SLICE), size - 1})
+            assert [got[i] for i in picks] == [float(cosine_product(n, thetas[i])) for i in picks]
+            with monkeypatch.context() as m:
+                _pin_cpus(m, 1)
+                m.setattr(analytic, "_helper", _no_helper)
+                assert cosine_product(n, thetas).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("failing_slice", [0, 3, 7])
+    def test_an_error_in_either_thread_is_raised(self, failing_slice, monkeypatch):
+        thetas = np.random.default_rng(8).uniform(0.0, math.pi / 2, 8 * _COSINE_SLICE)
+        first = thetas[failing_slice * _COSINE_SLICE]
+        plain = analytic._cosine_product_slice
+
+        def failing(n, th):
+            if th[0] == first:
+                raise FloatingPointError(f"slice {failing_slice}")
+            return plain(n, th)
+
+        _pin_cpus(monkeypatch, 2)
+        monkeypatch.setattr(analytic, "_cosine_product_slice", failing)
+        with pytest.raises(FloatingPointError, match=f"slice {failing_slice}"):
+            cosine_product(168, thetas)
+        monkeypatch.setattr(analytic, "_cosine_product_slice", plain)
+        with monkeypatch.context() as m:
+            _pin_cpus(m, 1)
+            serial = cosine_product(168, thetas)
+        assert cosine_product(168, thetas).tobytes() == serial.tobytes()
+
+    def test_concurrent_callers_take_each_slice_once(self, monkeypatch):
+        # Four callers share the one helper under a short switch interval:
+        # a slice start handed out twice, or never, would change a value.
+        rng = np.random.default_rng(9)
+        inputs = [rng.uniform(0.0, math.pi / 2, 9 * _COSINE_SLICE + 5) for _ in range(4)]
+        with monkeypatch.context() as m:
+            _pin_cpus(m, 1)
+            want = [cosine_product(168, th) for th in inputs]
+        _pin_cpus(monkeypatch, 2)
+        taken: list[int] = []
+        plain = analytic._cosine_product_slice
+
+        def counting(n, th):
+            taken.append(th.__array_interface__["data"][0])
+            return plain(n, th)
+
+        monkeypatch.setattr(analytic, "_cosine_product_slice", counting)
+        got = [None] * len(inputs)
+
+        def call(i):
+            got[i] = cosine_product(168, inputs[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(len(inputs))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        addresses = [th.__array_interface__["data"][0] + th.itemsize * start
+                     for th in inputs for start in range(0, th.size, _COSINE_SLICE)]
+        assert sorted(taken) == sorted(addresses)
 
     def test_block_boundaries_at_168(self):
         # Next to the zero pi/(6k+4) of the factor k = 16m - 1, the last of a

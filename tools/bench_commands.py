@@ -1,14 +1,16 @@
 """Time qunimodal commands in two checkouts, alternating sides, and write the BENCH file.
 
     python3 tools/bench_commands.py --parent ../pA --change ../pB --runs 3 \
-        --bench-pairs 10 --label pr19 --out BENCH_pr19.json
+        --bench-pairs 10 --bench-seconds 14 --label pr20 --out BENCH_pr20.json
 
 Each command runs in one fresh ``python3`` per run and side, with that
 side's ``src`` first on ``sys.path``, BLAS threads fixed at 1,
 ``QUNIMODAL_CACHE_DIR`` removed and bytecode cached per side (one untimed
 command per side fills the cache first). The child times ``qunimodal.cli.main(argv)``
 alone and reads ``resource.getrusage`` after the call: ``wall_s``,
-``peak_rss_mb`` (``ru_maxrss`` / 1024) and ``ru_minflt``. Runs alternate
+``peak_rss_mb`` (``ru_maxrss`` / 1024) and ``ru_minflt``, with the OS
+threads alive after the call (``/proc/self/task``) and the CPUs the
+process may run on. Runs alternate
 which side goes first. Each run works in a fresh directory of the same path
 length on both sides; give checkouts whose paths have equal length too, since
 the path alone can move peak memory by a few tenths of a MB. The ``results``
@@ -50,6 +52,8 @@ COMMANDS = {
     "integral": ["integral", "--n", "8", "--report", "r.json"],
     "sign_accord": ["integral", "--sign-accord", "--report", "r.json"],
     "lobe_ratio": ["certify", "--n", "168", "--i2-n", "168", "--i2-mu", "301,711", "--report", "r.json"],
+    "lobe_ratio_1_1011": ["certify", "--n", "168", "--i2-n", "168", "--i2-mu", "1,1011", "--report", "r.json"],
+    "lobe_ratio_300_7": ["certify", "--n", "168", "--i2-n", "300", "--i2-mu", "7", "--report", "r.json"],
     "verify_odd": ["verify", "--family", "odd", "--n-max", "60", "--report", "r.json"],
     "verify_almkvist": ["verify", "--family", "almkvist", "--r", "3", "--n-max", "40", "--report", "r.json"],
     "verify_general": ["verify", "--family", "general", "--factors", "+1,+2,+4,+5,+7,+8,-3,+9", "--report", "r.json"],
@@ -62,7 +66,7 @@ WORKLOADS = ("rows_sweeps", "lobe_ratio")
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 
 CHILD = """
-import json, resource, sys, time
+import json, os, resource, sys, threading, time
 sys.path.insert(0, sys.argv[1])
 from qunimodal import cli
 argv = json.loads(sys.argv[2])
@@ -73,8 +77,13 @@ except SystemExit as exc:
     code = exc.code
 wall = time.perf_counter() - start
 usage = resource.getrusage(resource.RUSAGE_SELF)
+try:
+    threads = len(os.listdir("/proc/self/task"))
+except OSError:
+    threads = threading.active_count()
+cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 print(json.dumps({"exit": code, "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024,
-                  "ru_minflt": usage.ru_minflt}))
+                  "ru_minflt": usage.ru_minflt, "threads": threads, "cpus": cpus}))
 """
 
 
@@ -112,7 +121,8 @@ def run_command(root: str, argv: list[str], workdir: str) -> dict:
 
 
 def _summary(runs: list[dict]) -> dict:
-    out: dict = {"exit_codes": sorted({r["exit"] for r in runs})}
+    out: dict = {"exit_codes": sorted({r["exit"] for r in runs}),
+                 "threads": sorted({r["threads"] for r in runs}), "cpus": sorted({r["cpus"] for r in runs})}
     for key, digits in (("wall_s", 4), ("peak_rss_mb", 2), ("ru_minflt", 0)):
         values = [round(r[key], digits) for r in runs]
         out[f"{key}_median"] = round(statistics.median(values), digits)
@@ -219,7 +229,8 @@ def main(argv=None) -> int:
         shutil.rmtree(base, ignore_errors=True)
     report = {
         "label": args.label,
-        "machine": {"cpu": _cpu(), "nproc": os.cpu_count(), "os": platform.platform()},
+        "machine": {"cpu": _cpu(), "nproc": os.cpu_count(), "os": platform.platform(),
+                    "cpus_available": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None},
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
         "method": (
@@ -228,6 +239,7 @@ def main(argv=None) -> int:
             "each side, after one untimed command per side that fills its bytecode cache; "
             "wall_s times qunimodal.cli.main(argv) alone, peak_rss_mb is "
             "resource.getrusage(RUSAGE_SELF).ru_maxrss / 1024 and ru_minflt its minor page faults, "
+            "threads the OS threads alive (/proc/self/task) and cpus those the process may run on, "
             f"read after the call; {args.runs} runs per side, the sides alternating which runs first; "
             "medians with all runs listed. outputs_identical compares each run's report `results` "
             "block (the row file for expand) across all runs of both sides"
