@@ -778,12 +778,13 @@ def trig_inequality_margin(inequality: str, point) -> float:
     ratio_27_1       |sin(n x)| <= n |sin x|             point = (n, x)
 
     Scalar form of the formulas :func:`sweep_inequality_margins` evaluates
-    on its grids. Out-of-domain arguments raise :class:`DomainViolation`.
+    on its grids. Out-of-domain arguments raise :class:`DomainViolation`;
+    a ratio n that is not an integer >= 1 raises ``ValueError``.
     """
     if inequality == "ratio_27_1":
         n, x = int(point[0]), np.float64(point[1])
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        if n != point[0] or n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {point[0]!r}")
         if np.sin(x) == 0.0:
             raise DomainViolation("sin x vanishes, the ratio bound needs sin x != 0")
         return float(_ratio_27_1(n, x))

@@ -16,6 +16,8 @@ Commands
 The parsed command line is the configuration: ``main(argv)`` parses,
 ``validate`` checks and ``run`` executes one ``argparse.Namespace``, and
 a report's ``metadata.config`` holds its values that are not None.
+``validate`` states only the rules no called function states first; any
+other exit-2 message is the called function's own ValueError.
 
 Exit codes: 0 every check passed; 1 a check failed or a certificate
 margin was nonpositive; 2 invalid configuration, a request too large to
@@ -72,52 +74,43 @@ __all__ = ["build_parser", "main", "run", "validate"]
 
 
 def validate(config: argparse.Namespace) -> None:
-    """Reject a parsed command line that no command can run; raises ValueError."""
+    """Reject what no called function rejects first; raises ValueError.
+
+    Any other bad value exits 2 with the called function's own ValueError,
+    raised before it does any work. The rules kept here, and why:
+    - unset --r, --n or --factors would reach the library as None (a TypeError);
+    - lemma and quotient --n-max < 1 and integral --n < 0 give an empty, passing sweep;
+    - --n-min has no library rule;
+    - the library checks verify --a, --i2-mu, --i2-n and trig --grid-points only
+      after the rows, envelope grids, --plot-csv file or identity sweep are done;
+    - numpy's message for a negative --seed names no flag.
+    """
     command = config.command
-    if command in ("verify", "lemma", "borwein", "almkvist"):
-        if config.n_min < 0 or config.n_min > config.n_max:
-            raise ValueError(f"need 0 <= n_min <= n_max, got [{config.n_min}, {config.n_max}]")
+    if command in ("verify", "lemma", "borwein", "almkvist") and not 0 <= config.n_min <= config.n_max:
+        raise ValueError(f"need 0 <= n_min <= n_max, got [{config.n_min}, {config.n_max}]")
     wants_quotient = command in ("expand", "verify", "almkvist") and config.family == "almkvist"
-    if wants_quotient and (config.r is None or config.r < 2):
-        raise ValueError("the quotient family needs --r >= 2")
+    if wants_quotient and config.r is None:
+        raise ValueError("the quotient family needs --r")
     if wants_quotient and command != "expand" and config.n_max < 1:
         raise ValueError("the quotient family starts at n = 1; need --n-max >= 1")
     if command == "lemma" and config.n_max < 1:
         raise ValueError("the lemma's window check starts at n = 1; need --n-max >= 1")
-    if command == "expand":
-        if config.family in ("main", "odd", "almkvist") and (config.n is None or config.n < 0):
-            raise ValueError(f"expand --family {config.family} needs --n >= 0")
-        if config.family == "almkvist" and config.n < 1:
-            raise ValueError("the quotient family needs --n >= 1")
-        if config.family == "general" and not config.factors:
-            raise ValueError("expand --family general needs --factors")
-    if command == "verify":
-        if config.family == "general" and not config.factors:
-            raise ValueError("verify --family general needs --factors")
-        if config.a is not None and config.a < 0:
-            raise ValueError("--a must be >= 0")
-    if command == "induction" and config.n_max < 0:
-        raise ValueError("--n-max must be >= 0")
+    if command == "expand" and config.family != "general" and config.n is None:
+        raise ValueError(f"expand --family {config.family} needs --n")
+    if command in ("expand", "verify") and config.family == "general" and not config.factors:
+        raise ValueError(f"{command} --family general needs --factors")
+    if command == "verify" and config.a is not None and config.a < 0:
+        raise ValueError("--a must be >= 0")
     if command == "integral" and config.n is not None and config.n < 0:
         raise ValueError("--n must be >= 0")
-    if command == "certify":
-        if min(config.n_list) < 168:
-            raise ValueError("the envelope bound is claimed for n >= 168 only")
-        if config.grid_points < 1000:
-            raise ValueError("certification needs --grid-points >= 1000")
-        if any(mu < 0 for mu in config.i2_mu):
-            raise ValueError("--i2-mu entries must be >= 0")
-        if config.i2_n < 1:
-            raise ValueError("--i2-n must be >= 1")
-    if command == "trig":
-        if config.samples < 1:
-            raise ValueError("--samples must be >= 1")
-        if config.grid_points < 10:
-            raise ValueError("--grid-points must be >= 10")
-        if config.seed < 0:
-            raise ValueError("--seed must be >= 0")
-    if command == "sweep-f" and not 168 <= config.n_min < config.n_max:
-        raise ValueError("sweep-f needs 168 <= n_min < n_max")
+    if command == "certify" and any(mu < 0 for mu in config.i2_mu):
+        raise ValueError("--i2-mu entries must be >= 0")
+    if command == "certify" and config.i2_n < 1:
+        raise ValueError("--i2-n must be >= 1")
+    if command == "trig" and config.grid_points < 10:
+        raise ValueError("--grid-points must be >= 10")
+    if command == "trig" and config.seed < 0:
+        raise ValueError("--seed must be >= 0")
 
 
 def _parse_factors(text: str) -> tuple[tuple[int, int], ...]:
@@ -232,11 +225,8 @@ def _cmd_certify(config: argparse.Namespace):
 
 
 def _cmd_integral(config: argparse.Namespace):
-    if config.sign_accord:
-        n_max = config.n if config.n is not None else 12
-        return sign_accord_sweep(n_max)
-    n_max = config.n if config.n is not None else 8
-    return reconstruction_sweep(n_max)
+    sweep = sign_accord_sweep if config.sign_accord else reconstruction_sweep
+    return sweep() if config.n is None else sweep(config.n)
 
 
 def _cmd_trig(config: argparse.Namespace):

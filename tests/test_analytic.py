@@ -485,6 +485,12 @@ class TestTrigInequalities:
         want = 5.0 - math.sin(1.5) / math.sin(0.3)
         assert trig_inequality_margin("ratio_27_1", (5, 0.3)) == pytest.approx(want, rel=1e-14)
 
+    def test_ratio_needs_an_integer_n(self):
+        # n = 2.7 must not be read as int(2.7) = 2; an integral float is still n
+        with pytest.raises(ValueError, match="integer"):
+            trig_inequality_margin("ratio_27_1", (2.7, 1.0))
+        assert trig_inequality_margin("ratio_27_1", (5.0, 0.3)) == trig_inequality_margin("ratio_27_1", (5, 0.3))
+
     @pytest.mark.parametrize(
         "inequality,point",
         [

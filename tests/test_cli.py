@@ -330,6 +330,48 @@ class TestFamilyStream:
         assert "n-max" in err
 
 
+class TestLibraryRules:
+    # Rules that only the called function states: each exits 2 with that
+    # function's message, before any report, row file or CSV is written.
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["certify", "--n", "167", "--plot-csv", "{dir}/plot.csv"], "claimed for n >= 168 only"),
+            (["certify", "--n", "300,167", "--plot-csv", "{dir}/plot.csv"], "claimed for n >= 168 only"),
+            (["certify", "--n", "168", "--grid-points", "999"], "at least 1000 grid points"),
+            (["trig", "--samples", "0"], "samples must be >= 1"),
+            (["sweep-f", "--n-min", "167", "--plot-csv", "{dir}/f.csv"], "168 <= n_lo < n_hi"),
+            (["sweep-f", "--n-min", "400", "--n-max", "400", "--plot-csv", "{dir}/f.csv"], "168 <= n_lo < n_hi"),
+            (["induction", "--n-max", "-1"], "n_max must be >= 0"),
+            (["verify", "--family", "almkvist", "--r", "1", "--n-max", "3"], "quotient family needs r >= 2"),
+            (["almkvist", "--r", "1"], "quotient family needs r >= 2"),
+            (["expand", "--family", "almkvist", "--r", "1", "--n", "2", "--out", "{dir}/row.csv"],
+             "quotient family needs r >= 2"),
+            (["expand", "--n", "-1", "--out", "{dir}/row.csv"], "main family needs n >= 0"),
+            (["expand", "--family", "odd", "--n", "-1", "--out", "{dir}/row.csv"], "odd family needs n >= 0"),
+            (["expand", "--family", "almkvist", "--r", "3", "--n", "0", "--out", "{dir}/row.csv"],
+             "quotient family needs n >= 1"),
+        ],
+    )
+    def test_exits_2_with_the_library_message(self, args, message, tmp_path, capsys):
+        args = [a.format(dir=tmp_path) for a in args]
+        if args[0] != "expand":
+            args += ["--report", str(tmp_path / "report.json")]
+        cli.validate(cli.build_parser().parse_args(args))  # stated by the library alone
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert "invalid request" in err and message in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags,n", [([], "8"), (["--sign-accord"], "12")])
+    def test_integral_defaults_are_the_sweeps_own(self, flags, n, tmp_path, capsys):
+        code, report = run_report(["integral", *flags], tmp_path, capsys)
+        code_n, report_n = run_report(["integral", *flags, "--n", n], tmp_path, capsys, name="n.json")
+        assert (code, report["results"]) == (code_n, report_n["results"])
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize(
         "args",
