@@ -4,16 +4,17 @@ A row a_0..a_d is a read-only ``uint64`` array ``limbs`` of shape
 (L, d + 1): plane k holds limb k of every coefficient, limb 0 the least
 significant, and a signed row is two's complement across its L limbs.
 Every |a_m| < 2**bits, and L = ceil((bits + signed) / 64). A factor
-(1 +- q**e) is a copy of the planes and one shifted add or subtract of
-them, with the carry passed from plane to plane as a 0/1 vector; a
-geometric block of t terms takes t - 1 shifted adds. Factors of t_1,
-t_2, ... terms bound the coefficients by t_1 t_2 ..., so a row's
-``bits`` is the bit length of that product (337 bits, six limbs, for
-the last row of ``main_rows(167)``). No arithmetic builds a row-sized
-Python integer: ``.coeffs`` decodes every coefficient once, on first
-access, and :func:`dump_lines` decodes a block at a time. A stream
-writes each row into one reused array while the consumer holds no
-earlier row or view of one, else into a fresh one (:func:`product_rows`).
+(1 +- q**e) is one shifted add or subtract of the planes into
+themselves, in place, with the carry passed from plane to plane as a
+0/1 vector; a geometric block of t terms takes t - 1 shifted adds.
+Factors of t_1, t_2, ... terms bound the coefficients by t_1 t_2 ...,
+so a row's ``bits`` is the bit length of that product (337 bits, six
+limbs, for the last row of ``main_rows(167)``). No arithmetic builds a
+row-sized Python integer: ``.coeffs`` decodes every coefficient once, on
+first access, and :func:`dump_lines` decodes a block at a time. A stream
+grows each row in place in one array shaped as its last row, so a row
+may be a view whose planes are each contiguous while the array is not;
+a row the consumer still holds sends the stream to a copy (:func:`product_rows`).
 
 :func:`family_rows` streams the rows of each product family, and
 :func:`build_product` is its last row:
@@ -101,7 +102,7 @@ class Polynomial:
         bits, signed = max(abs(c).bit_length() for c in cs), min(cs) < 0
         width = 8 * _limb_count(bits, signed)
         raw = b"".join(c.to_bytes(width, "little", signed=signed) for c in cs)
-        self._set(np.frombuffer(raw, "<u8").reshape(len(cs), -1).T, bits, signed)
+        self._set(np.ascontiguousarray(np.frombuffer(raw, "<u8").reshape(len(cs), -1).T), bits, signed)
 
     @classmethod
     def _of(cls, limbs: np.ndarray, bits: int, signed: bool) -> "Polynomial":
@@ -110,7 +111,7 @@ class Polynomial:
         return p
 
     def _set(self, limbs: np.ndarray, bits: int, signed: bool) -> None:
-        self.limbs = np.ascontiguousarray(limbs, dtype=np.uint64)
+        self.limbs = np.asarray(limbs, np.uint64)
         self.limbs.flags.writeable = False
         self.degree, self.bits, self.signed = self.limbs.shape[1] - 1, bits, signed
         self._coeffs: tuple[int, ...] | None = None
@@ -202,45 +203,51 @@ def _widen(limbs: np.ndarray, signed: bool, count: int) -> np.ndarray:
     return out
 
 
-def _add_into(acc: np.ndarray, x: np.ndarray, subtract: bool) -> None:
-    """acc += x, or acc -= x as acc += ~x + 1, on planes of equal limb count, modulo 2**(64 L).
+def _times(out: np.ndarray, old: int, n: int, signed: bool, sign: int, exponent: int, terms: int) -> np.ndarray:
+    """Multiply the row in ``out[:old, :n]`` (signed if ``signed``) by sum_{j<terms} (sign q**exponent)**j.
 
-    s = a + b carries where s < b, and adding the carry in (the 1 of a
-    subtraction into limb 0) carries again only where the sum wraps to 0.
+    The product fills ``out`` in place, which is returned: new columns
+    start at zero and new planes as the row's sign plane. Columns go from
+    the top down in blocks of ceil(n / limbs), a limb's share of a plane,
+    so each block is read before a term writes over it. Limb by limb from
+    limb 0, the block's plane is copied to one scratch vector, inverted
+    there for a subtracted term (~b + 1), and added at each term's shift.
+    Each term passes its carry up the limbs as a 0/1 vector: adding the
+    carry c carries again where a + c wraps to 0, and s = a + b carries
+    where s < b.
     """
-    carry = np.full(acc.shape[1], subtract)
-    out, wrap = np.empty_like(carry), np.empty_like(carry)
-    for k, (a, b) in enumerate(zip(acc, x)):
-        b = ~b if subtract else b
-        inner = k < len(acc) - 1  # no carry leaves the top limb
-        np.add(a, b, out=a)
-        if inner:
-            np.less(a, b, out=out)
-        if k or subtract:
-            np.add(a, carry, out=a)
-            if inner:
-                np.equal(a, 0, out=wrap)
-                wrap &= carry
-                out |= wrap
-        carry, out = out, carry
-
-
-def _times(limbs: np.ndarray, signed: bool, sign: int, exponent: int, terms: int, count: int,
-           buffer: np.ndarray | None = None) -> np.ndarray:
-    """Planes of the row ``limbs`` (signed if ``signed``) times sum_{j<terms} (sign q**exponent)**j.
-
-    The product, in ``count`` limbs, is written to the front of ``buffer``
-    if one is given, else to a fresh array: one copy of the row, then one
-    shifted add or subtract of it per further term.
-    """
-    src = _widen(limbs, signed, count)
-    n = src.shape[1]
-    size = n + (terms - 1) * exponent
-    out = (np.empty(count * size, np.uint64) if buffer is None else buffer[: count * size]).reshape(count, size)
-    out[:, :n] = src
+    count = len(out)
     out[:, n:] = 0
-    for j in range(1, terms):
-        _add_into(out[:, j * exponent : j * exponent + n], src, sign**j < 0)
+    for plane in out[old:]:  # the sign plane of the row, all ones under a negative coefficient
+        if signed:
+            np.right_shift(out[old - 1, :n].view(np.int64), 63, out=plane[:n].view(np.int64))
+        else:
+            plane[:n] = 0
+    block = -(-n // count)
+    scratch, wrap, carries = np.empty(block, np.uint64), np.empty(block, bool), np.empty((terms - 1, block), bool)
+    for stop in range(n, 0, -block):
+        start = max(stop - block, 0)
+        src, wrapped = scratch[: stop - start], wrap[: stop - start]
+        for k, plane in enumerate(out):
+            np.copyto(src, plane[start:stop])
+            inner, inverted = k < count - 1, False  # no carry leaves the top limb
+            for j, carry in enumerate(carries[:, : stop - start], 1):
+                a = plane[start + j * exponent : stop + j * exponent]
+                if (sign**j < 0) != inverted:
+                    np.invert(src, out=src)
+                    inverted = not inverted
+                if k == 0:
+                    carry.fill(inverted)  # the 1 of a subtraction, ~b + 1
+                if k or inverted:
+                    np.add(a, carry, out=a)
+                    if inner:
+                        np.equal(a, 0, out=wrapped)
+                        wrapped &= carry
+                np.add(a, src, out=a)
+                if inner:
+                    np.less(a, src, out=carry)
+                    if k or inverted:
+                        carry |= wrapped
     return out
 
 
@@ -259,7 +266,9 @@ def mul_binomial(p: Polynomial, sign: int, exponent: int, terms: int = 2) -> Pol
     if p.is_zero() or terms == 1:
         return p
     bits, signed = (((1 << p.bits) - 1) * terms).bit_length(), p.signed or sign < 0
-    return Polynomial._of(_times(p.limbs, p.signed, sign, exponent, terms, _limb_count(bits, signed)), bits, signed)
+    out = np.empty((_limb_count(bits, signed), p.degree + 1 + (terms - 1) * exponent), np.uint64)
+    out[: len(p.limbs), : p.degree + 1] = p.limbs
+    return Polynomial._of(_times(out, len(p.limbs), p.degree + 1, p.signed, sign, exponent, terms), bits, signed)
 
 
 def product_rows(groups: Iterable[Iterable[tuple[int, ...]]]) -> Iterator[Polynomial]:
@@ -267,15 +276,14 @@ def product_rows(groups: Iterable[Iterable[tuple[int, ...]]]) -> Iterator[Polyno
 
     A factor is (sign, exponent) or (sign, exponent, terms). After factors
     of t_1, t_2, ... terms every |a_m| <= t_1 t_2 ..., so a row's ``bits``
-    is the bit length of that product. The product before a group's last
-    factor goes to one scratch array of the last row's size, earlier ones
-    to arrays of their own. The last factor of a group of two or more
-    writes its row into one ``home`` array of that size too, but only
-    while ``sys.getrefcount(home)`` is what it was before any view of
-    ``home`` existed: every view's ``.base`` is ``home``, so a row or a
-    plane view the consumer still holds sends the row to a fresh array,
-    and what it holds stays valid. Groups of one factor get fresh arrays.
-    An empty group yields the product so far unchanged.
+    is the bit length of that product. Each row grows in place in one
+    ``home`` array shaped as the last row, (limbs, columns), and is
+    yielded as the read-only view ``home[:L, :d + 1]``. A group extends
+    it there only while ``sys.getrefcount(home)`` is what it was before
+    any view of ``home`` existed: every view's ``.base`` is ``home``, so a
+    row or plane view the consumer still holds sends the row to a fresh
+    ``home``, a copy, and what it holds stays valid (it keeps its whole
+    ``home`` alive). An empty group yields the product so far unchanged.
 
     >>> [p.coeffs for p in product_rows([[(1, 1)], [], [(-1, 2)]])]
     [(1, 1), (1, 1), (1, 1, -1, -1)]
@@ -286,18 +294,21 @@ def product_rows(groups: Iterable[Iterable[tuple[int, ...]]]) -> Iterator[Polyno
         _check_factor(*factor)
     groups = [[factor for factor in group if factor[2] > 1] for group in groups]  # one term: the identity
     bits = prod(terms for _, _, terms in factors).bit_length()
-    size = _limb_count(bits, any(sign < 0 for sign, _, _ in factors)) * (1 + sum((t - 1) * e for _, e, t in factors))
-    many = any(len(group) > 1 for group in groups)
-    scratch, home = (np.empty(size, np.uint64), np.empty(size, np.uint64)) if many else (None, None)
+    shape = _limb_count(bits, any(sign < 0 for sign, _, _ in factors)), 1 + sum((t - 1) * e for _, e, t in factors)
+    home = np.empty(shape, np.uint64)
     free = sys.getrefcount(home)  # read before any view of home holds a reference to it
-    limbs, bound, signed = np.ones((1, 1), np.uint64), 1, False
+    home[0, 0], count, width, bound, signed = 1, 1, 1, 1, False
     for group in groups:
-        for i, (sign, exponent, terms) in enumerate(group):
-            reuse = i == len(group) - 1 > 0 and sys.getrefcount(home) == free  # no row or view uses home
-            buffer = scratch if i == len(group) - 2 else home if reuse else None
-            was_signed, signed, bound = signed, signed or sign < 0, bound * terms
-            limbs = _times(limbs, was_signed, sign, exponent, terms, _limb_count(bound.bit_length(), signed), buffer)
-        yield Polynomial._of(limbs, bound.bit_length(), signed)
+        if group and sys.getrefcount(home) != free:  # a row or plane view in home is still held
+            row, home = home[:count, :width], np.empty(shape, np.uint64)
+            home[:count, :width] = row
+            del row
+        for sign, exponent, terms in group:
+            old, n, was_signed = count, width, signed
+            signed, bound, width = signed or sign < 0, bound * terms, width + (terms - 1) * exponent
+            count = _limb_count(bound.bit_length(), signed)
+            _times(home[:count, :width], old, n, was_signed, sign, exponent, terms)
+        yield Polynomial._of(home[:count, :width], bound.bit_length(), signed)
 
 
 def main_rows(n_max: int, sign: int = 1) -> Iterator[Polynomial]:
@@ -314,8 +325,8 @@ def family_rows(spec: ProductSpec) -> Iterator[tuple[int | None, Polynomial]]:
     ``main`` and ``odd`` start at n = 0 and ``almkvist`` at n = 1; a
     ``general`` product is one row, tagged n = None. No reference to a row
     is kept once the stream moves on (``enumerate`` would keep one), so a
-    consumer that drops its row before asking for the next holds one row
-    fewer while the next is built, and the next goes to the reused array.
+    consumer that drops its row before asking for the next lets the next
+    grow in place, in the array that held it.
     """
     if spec.family == "main":
         rows, n = main_rows(spec.n), 0

@@ -13,6 +13,7 @@ entries at the limb edges.
 """
 
 import json
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -107,6 +108,15 @@ def oracle_main_rows(n_max, sign=1):
             row = oracles.convolve(row, [1] + [0] * (e - 1) + [sign])
         rows.append(row)
     return rows
+
+
+def shifted_sum(row, sign, exponent, terms=2):
+    """row * sum_{j<terms} (sign q**exponent)**j on a plain list, one shifted add per term."""
+    out = row + [0] * ((terms - 1) * exponent)
+    for j in range(1, terms):
+        for m, c in enumerate(row):
+            out[m + j * exponent] += sign**j * c
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -475,23 +485,84 @@ class TestHeldRows:
             next(rows)
         assert np.array_equal(v, want)
 
-    @pytest.mark.parametrize("stream", ["main", "signed", "family"])
+    @pytest.mark.parametrize("stream", ["main", "signed", "family", "odd", "almkvist"])
     def test_rows_the_consumer_drops_share_one_buffer(self, stream):
+        # Groups of one factor (odd, almkvist) grow their rows in the one buffer too.
         rows = {
             "main": lambda: main_rows(30),
             "signed": lambda: main_rows(30, sign=-1),
             "family": lambda: family_rows(ProductSpec.main(30)),
+            "odd": lambda: family_rows(ProductSpec.odd(30)),
+            "almkvist": lambda: family_rows(ProductSpec.almkvist(4, 31)),
         }[stream]()
         addresses, coefficients = [], []
         for p in rows:
-            if stream == "family":
+            if stream in ("family", "odd", "almkvist"):
                 _, p = p
             # The data pointer only: holding ``p.limbs.base`` would keep the buffer in use.
             addresses.append(p.limbs.__array_interface__["data"][0])
             coefficients.append(list(p.coeffs))
             del p
-        assert coefficients == oracle_main_rows(30, sign=-1 if stream == "signed" else 1)
+        if stream == "odd":
+            assert coefficients == [oracles.naive_product(oracles.odd_factors(n)) for n in range(31)]
+        elif stream == "almkvist":
+            assert coefficients == [oracles.gaussian_product(4, n) for n in range(1, 32)]
+        else:
+            assert coefficients == oracle_main_rows(30, sign=-1 if stream == "signed" else 1)
         assert len(addresses) == 31 and len(set(addresses[1:])) == 1
+
+    @pytest.mark.parametrize("stream", ["main", "signed", "almkvist"])
+    def test_the_stream_holds_one_row(self, stream):
+        # Dropped rows: the stream's buffer is the last row's size, and its
+        # scratch is a block of one plane.
+        rows = {
+            "main": lambda: main_rows(167),
+            "signed": lambda: main_rows(150, sign=-1),
+            "almkvist": lambda: family_rows(ProductSpec.almkvist(5, 60)),
+        }[stream]
+        tracemalloc.start()
+        try:
+            for p in rows():
+                if stream == "almkvist":
+                    _, p = p
+                nbytes = p.limbs.nbytes
+                del p
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * nbytes
+
+    @pytest.mark.parametrize("stream, grows_at", [
+        ("main", [31, 63]),
+        ("signed", [31, 63]),
+        ("almkvist", [28, 56]),
+    ], ids=["main", "signed", "almkvist"])
+    def test_rows_where_the_limbs_grow_equal_the_oracle(self, stream, grows_at):
+        # The consumer holds every third row and drops the rest, so a row
+        # grows in the stream's buffer after a dropped row and in a fresh
+        # copy after a held one, where a limb count grows too.
+        if stream == "almkvist":
+            rows, n, want = family_rows(ProductSpec.almkvist(5, 57)), 1, [[1]]
+            for k in range(1, 58):
+                want.append(shifted_sum(want[-1], 1, k, 5))
+        else:
+            sign = -1 if stream == "signed" else 1
+            rows, n, want = main_rows(64, sign), 0, []
+            for k in range(65):
+                want.append(shifted_sum(shifted_sum(want[-1] if want else [1], sign, 3 * k + 1), sign, 3 * k + 2))
+        held, counts = {}, {}
+        for p in rows:
+            if stream == "almkvist":
+                _, p = p
+            assert list(p.coeffs) == want[n]
+            counts[n] = len(p.limbs)
+            if n % 3 == 0:
+                held[n] = p
+            del p
+            n += 1
+        assert [n for n in counts if n - 1 in counts and counts[n] > counts[n - 1]] == grows_at
+        for n, p in held.items():
+            assert_planes(p, want[n])
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--n-max", "30"],
@@ -556,6 +627,16 @@ class TestCarries:
             if want != [0]:
                 assert_planes(p, want)
         assert list(p.coeffs) == want
+
+    @given(st.lists(limb_edges, min_size=1, max_size=12), factors_or_blocks)
+    def test_mul_binomial_leaves_its_row_unchanged(self, cs, factor):
+        # A row built from a list, and a row that is a view of a stream's buffer.
+        *_, streamed = main_rows(12, sign=-1)
+        for p in (Polynomial(cs), streamed):
+            before = p.limbs.copy()
+            q = mul_binomial(p, *factor)
+            assert np.array_equal(p.limbs, before)
+            assert list(q.coeffs) == trimmed(oracles.convolve(list(p.coeffs), block(*(*factor, 2)[:3])))
 
     def test_a_carry_runs_through_every_limb(self):
         top = 2 ** (64 * 3) - 1  # three limbs of all ones, one below a fourth

@@ -1,7 +1,7 @@
 """Time qunimodal commands in two checkouts, alternating sides, and write the BENCH file.
 
     python3 tools/bench_commands.py --parent ../pA --change ../pB --runs 3 \
-        --bench-pairs 10 --bench-seconds 14 --label pr20 --out BENCH_pr20.json
+        --bench-pairs 10 --bench-seconds 14 --label pr23 --out BENCH_pr23.json
 
 Each command runs in one fresh ``python3`` per run and side, with that
 side's ``src`` first on ``sys.path``, BLAS threads fixed at 1,
@@ -45,6 +45,8 @@ COMMANDS = {
     "lemma": ["lemma", "--n-max", "167", "--report", "r.json"],
     "induction": ["induction", "--n-max", "167", "--report", "r.json"],
     "borwein": ["borwein", "--n-max", "60", "--report", "r.json"],
+    "verify_300": ["verify", "--n-max", "300", "--report", "r.json"],
+    "borwein_120": ["borwein", "--n-max", "120", "--report", "r.json"],
     "almkvist": ["almkvist", "--r", "3", "--n-min", "11", "--n-max", "40", "--report", "r.json"],
     "certify": ["certify", "--n", "168,300,1000,5000", "--gamma-tail", "--report", "r.json"],
     "sweep_f": ["sweep-f", "--report", "r.json"],
