@@ -6,8 +6,8 @@ The main family multiplies (1 + q^{3k+1})(1 + q^{3k+2}) for k = 0..n.
 Its coefficients count partitions into distinct parts that are not
 multiples of 3 and are at most 3n+2. This script expands small rows,
 prints them, and runs the structural checks on each. A row is held in
-``uint64`` limb planes; printing ``p.coeffs`` decodes it, while the
-checks read the planes directly.
+``int64`` planes of 56-bit digits; printing ``p.coeffs`` decodes it,
+while the checks read the planes directly.
 """
 
 from qunimodal import (

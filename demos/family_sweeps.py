@@ -4,7 +4,7 @@ Sweep whole families through the structural checks
 
 Three sweeps: the main family through n = 60, the signed product through
 n = 30, and the quotient family at r = 3 and 4. Each family is one row
-stream (``family_rows``) of rows held in limb planes, and the checks read
+stream (``family_rows``) of rows held in digit planes, and the checks read
 those planes without decoding them to coefficient lists; nothing here
 should ever fail.
 """

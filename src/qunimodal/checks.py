@@ -4,13 +4,13 @@ Checks report outcomes through :class:`CheckReport` instead of raising,
 so a sweep over a whole family collects every result. Exceptions are
 reserved for misuse (wrong degree, bad parameters).
 
-Every check reads a row's limb planes, never a coefficient list, and
-none reads the row's coefficient bound. Neighbours are compared limb by
-limb from the top down, which gives the exact signs of a_m - a_{m-1} as
-one int8 vector, read by the unimodality, window and induction checks.
-A coefficient's sign is its top limb's sign, or zero where every limb is
-zero (the sign pattern check). Symmetry compares the planes with their
-mirror in one step.
+Every check reads a row's settled digit planes, never a coefficient
+list, and none reads the row's coefficient bound. Neighbours are
+compared digit by digit from the signed top digit down, which gives the
+exact signs of a_m - a_{m-1} as one int8 vector, read by the
+unimodality, window and induction checks. A coefficient's sign is its
+top digit's sign, or zero where every digit is zero (the sign pattern
+check). Symmetry compares each plane with its mirror.
 """
 
 from __future__ import annotations
@@ -68,24 +68,27 @@ class CheckReport:
 def _steps(p: Polynomial, lo: int, hi: int) -> np.ndarray:
     """Exact signs of a_m - a_{m-1} for lo <= m <= hi, as one int8 vector.
 
-    Neighbours are compared limb by limb from the top down, the top limb
-    as a signed integer in a signed row; the first limb where they differ
-    decides the pair.
+    Neighbours are compared digit by digit from the top down, where the
+    top digit is signed and the lower ones are not negative; the first
+    digit where they differ decides the pair.
     """
-    planes = p.limbs[:, lo - 1 : hi + 1]
+    planes = p.limbs[::-1, lo - 1 : hi + 1]  # the top digit first
     signs = np.zeros(planes.shape[1] - 1, np.int8)
-    for k in range(len(planes) - 1, -1, -1):
-        a, b = planes[k, 1:], planes[k, :-1]
-        if p.signed and k == len(planes) - 1:
-            a, b = a.view(np.int64), b.view(np.int64)
+    for plane in planes:
+        a, b = plane[1:], plane[:-1]
         signs = np.where(signs != 0, signs, (a > b).astype(np.int8) - (a < b))
     return signs
 
 
+def _first(mask: np.ndarray, default: int | None) -> int | None:
+    """Index of the first True in ``mask`` (``argmax`` on the boolean view), or ``default``."""
+    return int(mask.argmax()) if mask.any() else default
+
+
 def _first_descent(p: Polynomial, lo: int, hi: int) -> int | None:
     """First m in [lo, hi] with a_m < a_{m-1}, or None if there is none."""
-    falls = np.flatnonzero(_steps(p, lo, hi) < 0)
-    return lo + int(falls[0]) if falls.size else None
+    fall = _first(_steps(p, lo, hi) < 0, None)
+    return None if fall is None else lo + fall
 
 
 def _shape(steps: np.ndarray, offset: int) -> tuple[int | None, int, int]:
@@ -93,24 +96,21 @@ def _shape(steps: np.ndarray, offset: int) -> tuple[int | None, int, int]:
 
     The run starts at index ``offset``; after a violation the plateau is 0, 0.
     """
-    falls = np.flatnonzero(steps < 0)
-    if falls.size:
-        rises = np.flatnonzero(steps[falls[0]:] > 0)
-        if rises.size:
-            return offset + int(falls[0] + rises[0]) + 1, 0, 0
-    rises = np.flatnonzero(steps > 0)
-    lo = offset + (int(rises[-1]) + 1 if rises.size else 0)
-    hi = offset + (int(falls[0]) if falls.size else steps.size)
-    return None, lo, hi
+    rises = steps > 0
+    fall = _first(steps < 0, steps.size)
+    rise = _first(rises[fall:], None)
+    if rise is not None:
+        return offset + fall + rise + 1, 0, 0
+    return None, offset + steps.size - _first(rises[::-1], steps.size), offset + fall
 
 
 def check_symmetric(p: Polynomial) -> CheckReport:
     """Verify coeff(m) == coeff(N - m) for the full degree N."""
     half = p.degree // 2 + 1
-    differ = (p.limbs[:, :half] != p.limbs[:, ::-1][:, :half]).any(axis=0)
-    if differ.any():
-        return CheckReport("symmetric", False, first_violation=int(differ.argmax()))
-    return CheckReport("symmetric", True)
+    low, high = p.limbs[:, :half], p.limbs[:, ::-1][:, :half]
+    if all(np.array_equal(a, b) for a, b in zip(low, high)):  # a plane at a time: no row-sized temporary
+        return CheckReport("symmetric", True)
+    return CheckReport("symmetric", False, first_violation=int((low != high).any(axis=0).argmax()))
 
 
 def check_unimodal(p: Polynomial) -> CheckReport:
@@ -168,22 +168,16 @@ def replay_induction(n_max: int) -> CheckReport:
     for n, p in rows:
         sym = check_symmetric(p)
         if not sym.passed:
-            return CheckReport(
-                "induction", False, first_violation=sym.first_violation, n=n,
-                details=f"symmetry broke at n={n}",
-            )
+            details = f"symmetry broke at n={n}"
+            return CheckReport("induction", False, first_violation=sym.first_violation, n=n, details=details)
         m = _first_descent(p, 1, 3 * n * n // 2)
         if m is not None:
-            return CheckReport(
-                "induction", False, first_violation=m, n=n,
-                details=f"carried monotonicity broke at n={n}, m={m}",
-            )
+            details = f"carried monotonicity broke at n={n}, m={m}"
+            return CheckReport("induction", False, first_violation=m, n=n, details=details)
         window = check_lemma_range(n, p)
         if not window.passed:
-            return CheckReport(
-                "induction", False, first_violation=window.first_violation, n=n,
-                details=f"central window broke at n={n}, m={window.first_violation}",
-            )
+            details = f"central window broke at n={n}, m={window.first_violation}"
+            return CheckReport("induction", False, first_violation=window.first_violation, n=n, details=details)
         del p  # released before the stream builds the next row
     return CheckReport("induction", True, n=n_max, details=f"chain verified through n={n_max}")
 
@@ -213,8 +207,7 @@ def check_sign_pattern(p: Polynomial, period: int, pattern) -> CheckReport:
     if period != len(signs):
         raise ValueError(f"period {period} does not match pattern length {len(signs)}")
     coefficient_signs = (p.limbs != 0).any(axis=0).astype(np.int8)
-    if p.signed:
-        coefficient_signs[p.limbs[-1].view(np.int64) < 0] = -1
+    coefficient_signs[p.limbs[-1] < 0] = -1
     want = np.resize(np.array(signs, dtype=np.int8), p.degree + 1)
     wrong = np.flatnonzero(coefficient_signs * want < 0)
     if wrong.size:

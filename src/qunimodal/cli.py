@@ -64,7 +64,7 @@ from .checks import (
     replay_induction,
 )
 from .errors import GridTooCoarse, NearSingular, SingularPoint
-from .polynomials import ProductSpec, build_product, dump_lines, family_rows, main_rows
+from .polynomials import ProductSpec, _dump_blocks, build_product, family_rows, main_rows
 
 # Unused here, but bench/tracing.py wraps these names in this module; keep them bound.
 from .analytic import i2_ratio_check  # noqa: F401
@@ -164,7 +164,7 @@ def _product_spec(config: argparse.Namespace, n: int) -> ProductSpec:
 def _cmd_expand(config: argparse.Namespace):
     p = build_product(_product_spec(config, config.n))
     with _sink(config.out) as fh:
-        fh.writelines(line + "\n" for line in dump_lines(p))
+        fh.writelines(_dump_blocks(p))
 
 
 def _cmd_verify(config: argparse.Namespace):

@@ -1,20 +1,19 @@
-"""Exact dense polynomial arithmetic for binomial q-products, in limb planes.
+"""Exact dense polynomial arithmetic for binomial q-products, in digit planes.
 
-A row a_0..a_d is a read-only ``uint64`` array ``limbs`` of shape
-(L, d + 1): plane k holds limb k of every coefficient, limb 0 the least
-significant, and a signed row is two's complement across its L limbs.
-Every |a_m| < 2**bits, and L = ceil((bits + signed) / 64). A factor
+A row a_0..a_d is a read-only ``int64`` array ``limbs`` of shape
+(L, d + 1): plane k holds digit k of every coefficient, base 2**56. A
+settled row has every digit below the top in [0, 2**56) and a signed
+top digit, and L = ceil(bits / 56) when every |a_m| < 2**bits. A factor
 (1 +- q**e) is one shifted add or subtract of the planes into
-themselves, in place, with the carry passed from plane to plane as a
-0/1 vector; a geometric block of t terms takes t - 1 shifted adds.
-Factors of t_1, t_2, ... terms bound the coefficients by t_1 t_2 ...,
-so a row's ``bits`` is the bit length of that product (337 bits, six
-limbs, for the last row of ``main_rows(167)``). No arithmetic builds a
-row-sized Python integer: ``.coeffs`` decodes every coefficient once, on
-first access, and :func:`dump_lines` decodes a block at a time. A stream
-grows each row in place in one array shaped as its last row, so a row
-may be a view whose planes are each contiguous while the array is not;
-a row the consumer still holds sends the stream to a copy (:func:`product_rows`).
+themselves, in place and with no carry; a geometric block of t terms
+takes t - 1 of them. A digit's 7 spare bits hold the sum of 128 settled
+digits, so one carry pass (:func:`_settle`) per row settles it. Factors
+of t_1, t_2, ... terms bound the coefficients by t_1 t_2 ..., so a row's
+``bits`` is the bit length of that product (337 bits, seven digits, for
+the last row of ``main_rows(167)``). No arithmetic builds a row-sized
+Python integer: ``.coeffs`` and :func:`dump_lines` decode through views
+of 7 bytes a digit. A stream grows each row in place in one array shaped
+as its last row (:func:`product_rows`).
 
 :func:`family_rows` streams the rows of each product family, and
 :func:`build_product` is its last row:
@@ -58,7 +57,13 @@ __all__ = [
 ]
 
 # Coefficients decoded per step of dump_lines.
-_DUMP_BLOCK = 1 << 12
+_DUMP_BLOCK = 1 << 10
+# Bits per digit; the 7 spare bits of an int64 hold the sum of _COPIES settled digits.
+_DIGIT = 56
+_MASK = (1 << _DIGIT) - 1
+_COPIES = 1 << (63 - _DIGIT)
+# Most columns a factor or a carry pass takes at a time: a digit's share of a plane, kept in cache.
+_BLOCK = 1 << 13
 
 
 def main_degree(n: int) -> int:
@@ -66,61 +71,67 @@ def main_degree(n: int) -> int:
     return 3 * (n + 1) ** 2
 
 
-def _limb_count(bits: int, signed: bool) -> int:
-    """Limbs of a row whose |a_m| < 2**bits: ceil((bits + signed) / 64), at least one."""
-    return max(1, -(-(bits + signed) // 64))
+def _digit_count(bits: int) -> int:
+    """Digits of a row whose |a_m| < 2**bits: ceil(bits / 56), at least one."""
+    return max(1, -(-bits // _DIGIT))
 
 
-def _decode(planes: np.ndarray, signed: bool) -> list[int]:
-    """The coefficients whose limb planes these are, as Python ints."""
-    width = 8 * planes.shape[0]
-    raw = np.ascontiguousarray(planes.T, dtype="<u8").tobytes()
-    return [int.from_bytes(raw[i : i + width], "little", signed=signed) for i in range(0, len(raw), width)]
+def _decode(planes: np.ndarray) -> list[int]:
+    """The coefficients whose settled digit planes these are, as Python ints."""
+    count, n = planes.shape
+    width = 7 * count + 1
+    raw = bytearray(width * n)
+    digits = np.ndarray((count, n), "<i8", raw, strides=(7, width))
+    for k in range(count):  # upwards: each digit's first byte covers the zero top byte of the one below
+        digits[k] = planes[k]
+    return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
 
 
 class Polynomial:
-    """Dense polynomial with exact integer coefficients, held in limb planes.
+    """Dense polynomial with exact integer coefficients, held in digit planes.
 
     Immutable: ``limbs`` is read-only and all operations return new
     instances. Trailing zeros are trimmed on construction; the zero
-    polynomial is ``(0,)`` with degree 0. ``signed`` says whether a
-    coefficient may be negative, and ``bits`` bounds every |a_m| < 2**bits.
+    polynomial is ``(0,)`` with degree 0. ``bits`` bounds every
+    |a_m| < 2**bits.
 
     >>> Polynomial([1, 2, 3, 0]).coeffs
     (1, 2, 3)
     >>> Polynomial([-1, 2**64]).limbs.tolist()
-    [[18446744073709551615, 0], [18446744073709551615, 1]]
+    [[72057594037927935, 0], [-1, 256]]
     """
 
-    __slots__ = ("limbs", "degree", "bits", "signed", "_coeffs")
+    __slots__ = ("limbs", "degree", "bits", "_coeffs")
 
     def __init__(self, coefficients: Iterable[int]) -> None:
         cs = [int(c) for c in coefficients]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         cs = cs or [0]
-        bits, signed = max(abs(c).bit_length() for c in cs), min(cs) < 0
-        width = 8 * _limb_count(bits, signed)
-        raw = b"".join(c.to_bytes(width, "little", signed=signed) for c in cs)
-        self._set(np.ascontiguousarray(np.frombuffer(raw, "<u8").reshape(len(cs), -1).T), bits, signed)
+        bits = max(abs(c).bit_length() for c in cs)
+        count = _digit_count(bits)
+        raw = b"".join(c.to_bytes(7 * count + 1, "little", signed=True) for c in cs)
+        limbs = np.array(np.ndarray((count, len(cs)), "<i8", raw, strides=(7, 7 * count + 1)))
+        limbs[:-1] &= _MASK  # a lower digit's eighth byte is the next digit's first
+        self._set(limbs, bits)
 
     @classmethod
-    def _of(cls, limbs: np.ndarray, bits: int, signed: bool) -> "Polynomial":
+    def _of(cls, limbs: np.ndarray, bits: int) -> "Polynomial":
         p = cls.__new__(cls)
-        p._set(limbs, bits, signed)
+        p._set(limbs, bits)
         return p
 
-    def _set(self, limbs: np.ndarray, bits: int, signed: bool) -> None:
-        self.limbs = np.asarray(limbs, np.uint64)
+    def _set(self, limbs: np.ndarray, bits: int) -> None:
+        self.limbs = np.asarray(limbs, np.int64)
         self.limbs.flags.writeable = False
-        self.degree, self.bits, self.signed = self.limbs.shape[1] - 1, bits, signed
+        self.degree, self.bits = self.limbs.shape[1] - 1, bits
         self._coeffs: tuple[int, ...] | None = None
 
     @property
     def coeffs(self) -> tuple[int, ...]:
         """The coefficients a_0..a_degree, decoded from the planes on first access."""
         if self._coeffs is None:
-            self._coeffs = tuple(_decode(self.limbs, self.signed))
+            self._coeffs = tuple(_decode(self.limbs))
         return self._coeffs
 
     def is_zero(self) -> bool:
@@ -131,16 +142,16 @@ class Polynomial:
             return NotImplemented
         if self.degree != other.degree:
             return False
-        # One limb more when one row is signed: its top bit is a sign, the other's a digit.
-        count = max(len(self.limbs), len(other.limbs)) + (self.signed != other.signed)
-        return np.array_equal(_widen(self.limbs, self.signed, count), _widen(other.limbs, other.signed, count))
+        count = max(len(self.limbs), len(other.limbs))  # fewer digits: zero planes take the top's carry
+        wide = [_settle(np.pad(p.limbs, ((0, count - len(p.limbs)), (0, 0)))) for p in (self, other)]
+        return np.array_equal(*wide)
 
     def __hash__(self) -> int:
-        # Equal rows share their degree and every coefficient, whatever their limb counts.
+        # Equal rows share their degree and every coefficient, whatever their digit counts.
         return hash((self.degree, coeff(self, 0), coeff(self, self.degree // 2), coeff(self, self.degree)))
 
     def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in _decode(self.limbs[:, :6], self.signed))
+        shown = ", ".join(str(c) for c in _decode(self.limbs[:, :6]))
         ellipsis = ", ..." if self.degree >= 6 else ""
         return f"Polynomial(degree={self.degree}, coeffs=[{shown}{ellipsis}])"
 
@@ -193,61 +204,43 @@ def _check_factor(sign: int, exponent: int, terms: int) -> None:
         raise ValueError(f"exponent and terms must be >= 1, got {exponent} and {terms}")
 
 
-def _widen(limbs: np.ndarray, signed: bool, count: int) -> np.ndarray:
-    """``limbs`` extended to ``count`` planes: by the sign of a signed row, else by zeros."""
-    if len(limbs) == count:
-        return limbs
-    out = np.empty((count, limbs.shape[1]), np.uint64)
-    out[: len(limbs)] = limbs
-    out[len(limbs) :] = (limbs[-1].view(np.int64) >> 63).view(np.uint64) if signed else 0
-    return out
+def _settle(planes: np.ndarray) -> np.ndarray:
+    """Carry each digit into the next from digit 0 up, so all but the top lie in [0, 2**56); returned."""
+    count, n = planes.shape
+    if count > 1:  # one digit has nothing to carry
+        block = min(-(-n // count), _BLOCK)
+        carry = np.empty(block, np.int64)
+        for start in range(0, n, block):
+            c, digits = carry[: n - start], planes[:, start : start + block]
+            for low, high in zip(digits[:-1], digits[1:]):
+                np.right_shift(low, _DIGIT, out=c)
+                np.bitwise_and(low, _MASK, out=low)
+                high += c
+    return planes
 
 
-def _times(out: np.ndarray, old: int, n: int, signed: bool, sign: int, exponent: int, terms: int) -> np.ndarray:
-    """Multiply the row in ``out[:old, :n]`` (signed if ``signed``) by sum_{j<terms} (sign q**exponent)**j.
+def _times(out: np.ndarray, n: int, sign: int, exponent: int, terms: int) -> np.ndarray:
+    """Multiply the row in ``out[:, :n]``, zero beyond, by sum_{j<terms} (sign q**exponent)**j.
 
-    The product fills ``out`` in place, which is returned: new columns
-    start at zero and new planes as the row's sign plane. Columns go from
-    the top down in blocks of ceil(n / limbs), a limb's share of a plane,
-    so each block is read before a term writes over it. Limb by limb from
-    limb 0, the block's plane is copied to one scratch vector, inverted
-    there for a subtracted term (~b + 1), and added at each term's shift.
-    Each term passes its carry up the limbs as a 0/1 vector: adding the
-    carry c carries again where a + c wraps to 0, and s = a + b carries
-    where s < b.
+    The product fills ``out`` in place, which is returned. No digit
+    carries, so each digit sums ``terms`` times the copies it held.
+    Columns go from the top down in blocks, each copied to a scratch
+    array before a term writes over it and then added at each term's
+    shift, or subtracted. A factor of more than 128 terms settles each
+    term's destination as it goes.
     """
-    count = len(out)
-    out[:, n:] = 0
-    for plane in out[old:]:  # the sign plane of the row, all ones under a negative coefficient
-        if signed:
-            np.right_shift(out[old - 1, :n].view(np.int64), 63, out=plane[:n].view(np.int64))
-        else:
-            plane[:n] = 0
-    block = -(-n // count)
-    scratch, wrap, carries = np.empty(block, np.uint64), np.empty(block, bool), np.empty((terms - 1, block), bool)
+    block = min(-(-n // len(out)), _BLOCK)
+    scratch = np.empty((len(out), block), np.int64)
     for stop in range(n, 0, -block):
         start = max(stop - block, 0)
-        src, wrapped = scratch[: stop - start], wrap[: stop - start]
-        for k, plane in enumerate(out):
-            np.copyto(src, plane[start:stop])
-            inner, inverted = k < count - 1, False  # no carry leaves the top limb
-            for j, carry in enumerate(carries[:, : stop - start], 1):
-                a = plane[start + j * exponent : stop + j * exponent]
-                if (sign**j < 0) != inverted:
-                    np.invert(src, out=src)
-                    inverted = not inverted
-                if k == 0:
-                    carry.fill(inverted)  # the 1 of a subtraction, ~b + 1
-                if k or inverted:
-                    np.add(a, carry, out=a)
-                    if inner:
-                        np.equal(a, 0, out=wrapped)
-                        wrapped &= carry
-                np.add(a, src, out=a)
-                if inner:
-                    np.less(a, src, out=carry)
-                    if k or inverted:
-                        carry |= wrapped
+        src = scratch[:, : stop - start]
+        np.copyto(src, out[:, start:stop])
+        for j in range(1, terms):
+            dest = out[:, start + j * exponent : stop + j * exponent]
+            for digit, copy in zip(dest, src):
+                (np.subtract if sign**j < 0 else np.add)(digit, copy, out=digit)
+            if terms > _COPIES:
+                _settle(dest)
     return out
 
 
@@ -265,10 +258,10 @@ def mul_binomial(p: Polynomial, sign: int, exponent: int, terms: int = 2) -> Pol
     _check_factor(sign, exponent, terms)
     if p.is_zero() or terms == 1:
         return p
-    bits, signed = (((1 << p.bits) - 1) * terms).bit_length(), p.signed or sign < 0
-    out = np.empty((_limb_count(bits, signed), p.degree + 1 + (terms - 1) * exponent), np.uint64)
+    bits = (((1 << p.bits) - 1) * terms).bit_length()
+    out = np.zeros((_digit_count(bits), p.degree + 1 + (terms - 1) * exponent), np.int64)
     out[: len(p.limbs), : p.degree + 1] = p.limbs
-    return Polynomial._of(_times(out, len(p.limbs), p.degree + 1, p.signed, sign, exponent, terms), bits, signed)
+    return Polynomial._of(_settle(_times(out, p.degree + 1, sign, exponent, terms)), bits)
 
 
 def product_rows(groups: Iterable[Iterable[tuple[int, ...]]]) -> Iterator[Polynomial]:
@@ -277,13 +270,15 @@ def product_rows(groups: Iterable[Iterable[tuple[int, ...]]]) -> Iterator[Polyno
     A factor is (sign, exponent) or (sign, exponent, terms). After factors
     of t_1, t_2, ... terms every |a_m| <= t_1 t_2 ..., so a row's ``bits``
     is the bit length of that product. Each row grows in place in one
-    ``home`` array shaped as the last row, (limbs, columns), and is
-    yielded as the read-only view ``home[:L, :d + 1]``. A group extends
-    it there only while ``sys.getrefcount(home)`` is what it was before
-    any view of ``home`` existed: every view's ``.base`` is ``home``, so a
-    row or plane view the consumer still holds sends the row to a fresh
-    ``home``, a copy, and what it holds stays valid (it keeps its whole
-    ``home`` alive). An empty group yields the product so far unchanged.
+    ``home`` array shaped as the last row, (digits, columns), and is
+    yielded settled, as the read-only view ``home[:L, :d + 1]``. Its
+    digits sum ``copies`` settled digits; a factor that would take them
+    past 128 settles the row first. A group extends it there only while
+    ``sys.getrefcount(home)`` is what it was before any view of ``home``
+    existed: every view's ``.base`` is ``home``, so a row or plane view
+    the consumer still holds sends the row to a fresh ``home``, a copy,
+    and what it holds stays valid (it keeps its whole ``home`` alive). An
+    empty group yields the product so far unchanged.
 
     >>> [p.coeffs for p in product_rows([[(1, 1)], [], [(-1, 2)]])]
     [(1, 1), (1, 1), (1, 1, -1, -1)]
@@ -292,23 +287,26 @@ def product_rows(groups: Iterable[Iterable[tuple[int, ...]]]) -> Iterator[Polyno
     factors = [factor for group in groups for factor in group]
     for factor in factors:
         _check_factor(*factor)
-    groups = [[factor for factor in group if factor[2] > 1] for group in groups]  # one term: the identity
     bits = prod(terms for _, _, terms in factors).bit_length()
-    shape = _limb_count(bits, any(sign < 0 for sign, _, _ in factors)), 1 + sum((t - 1) * e for _, e, t in factors)
-    home = np.empty(shape, np.uint64)
+    shape = _digit_count(bits), 1 + sum((t - 1) * e for _, e, t in factors)
+    home = np.zeros(shape, np.int64)  # columns and digits beyond the row are zero
     free = sys.getrefcount(home)  # read before any view of home holds a reference to it
-    home[0, 0], count, width, bound, signed = 1, 1, 1, 1, False
+    home[0, 0], count, width, bound = 1, 1, 1, 1
     for group in groups:
+        copies = 1  # each group starts from a settled row
         if group and sys.getrefcount(home) != free:  # a row or plane view in home is still held
-            row, home = home[:count, :width], np.empty(shape, np.uint64)
+            row, home = home[:count, :width], np.zeros(shape, np.int64)
             home[:count, :width] = row
             del row
         for sign, exponent, terms in group:
-            old, n, was_signed = count, width, signed
-            signed, bound, width = signed or sign < 0, bound * terms, width + (terms - 1) * exponent
-            count = _limb_count(bound.bit_length(), signed)
-            _times(home[:count, :width], old, n, was_signed, sign, exponent, terms)
-        yield Polynomial._of(home[:count, :width], bound.bit_length(), signed)
+            if copies * terms > _COPIES:
+                _settle(home[:count, :width])
+                copies = 1
+            n, copies = width, copies * terms
+            bound, width = bound * terms, width + (terms - 1) * exponent
+            count = _digit_count(bound.bit_length())
+            _times(home[:count, :width], n, sign, exponent, terms)
+        yield Polynomial._of(_settle(home[:count, :width]), bound.bit_length())
 
 
 def main_rows(n_max: int, sign: int = 1) -> Iterator[Polynomial]:
@@ -422,7 +420,7 @@ def recurrence_step(prev: Polynomial, n: int) -> Polynomial:
 def coeff(p: Polynomial, m: int) -> int:
     """Coefficient of q**m, zero outside the stored range; decodes that coefficient alone."""
     if 0 <= m <= p.degree:
-        return _decode(p.limbs[:, m : m + 1], p.signed)[0]
+        return _decode(p.limbs[:, m : m + 1])[0]
     return 0
 
 
@@ -436,11 +434,17 @@ def evaluate_at_minus_one(p: Polynomial) -> int:
     return sum(p.coeffs[0::2]) - sum(p.coeffs[1::2])
 
 
+def _dump_blocks(p: Polynomial) -> Iterator[str]:
+    """The text of :func:`dump_lines`, one string per block of coefficients decoded together."""
+    for start in range(0, p.degree + 1, _DUMP_BLOCK):
+        cs = _decode(p.limbs[:, start : start + _DUMP_BLOCK])
+        yield "".join(map("{},{}\n".format, range(start, start + len(cs)), cs))
+
+
 def dump_lines(p: Polynomial) -> Iterator[str]:
     """Serialize as ``m,<decimal>`` lines, ascending m, no header; decoded a block at a time."""
-    for start in range(0, p.degree + 1, _DUMP_BLOCK):
-        for m, c in enumerate(_decode(p.limbs[:, start : start + _DUMP_BLOCK], p.signed), start):
-            yield f"{m},{c}"
+    for text in _dump_blocks(p):
+        yield from text.splitlines()
 
 
 def parse_dump(lines: Iterable[str]) -> Polynomial:

@@ -1,15 +1,16 @@
-"""Rows packed in limb planes against the brute-force oracles.
+"""Rows packed in digit planes against the brute-force oracles.
 
-A row's coefficients are packed in ``uint64`` limb planes: a
-coefficient's slot is its L limbs, 64 L bits wide, two's complement if
-the row is signed. Every structural check reads the planes, never a
-coefficient list, so each report is held to one built by
-``tests/oracles.py`` from plain Python lists: on hypothesis lists
-(negative and multi-limb entries included), on neighbours that tie in
-their top 64 bits, on a row-60 chain row with one coefficient moved, and
-on the CLI's own output. The planes themselves are held to limbs cut
-from the oracle's integers by hand, and the carries and borrows to
-entries at the limb edges.
+A row's coefficients are packed in ``int64`` planes of 56-bit digits: a
+coefficient's slot is its L digits, 56 L bits wide, every digit below
+the top in [0, 2**56) and the top digit signed. Every structural check
+reads the planes, never a coefficient list, so each report is held to
+one built by ``tests/oracles.py`` from plain Python lists: on hypothesis
+lists (negative and multi-digit entries included), on neighbours that
+tie in their top digit, on a row-60 chain row with one coefficient
+moved, and on the CLI's own output. The planes themselves are held to
+digits cut from the oracle's integers by hand, and the carries and
+borrows to entries at the digit edges, through single factors, chains,
+streams and a factor of more than 128 terms.
 """
 
 import json
@@ -33,7 +34,6 @@ from qunimodal.checks import (
 from qunimodal.polynomials import (
     Polynomial,
     ProductSpec,
-    _widen,
     build_product,
     coeff,
     divide_exact,
@@ -125,20 +125,23 @@ def row_60():
 
 
 def limbs_by_hand(cs, count):
-    """Plane k holds bits 64k..64k+63 of every c mod 2**(64 count), cut apart from the package."""
-    mask = (1 << 64) - 1
-    return np.array([[(c >> (64 * k)) & mask for c in cs] for k in range(count)], dtype=np.uint64)
+    """Plane k < count - 1 holds bits 56k..56k+55 of every c, and the top plane the rest, signed.
+
+    Cut apart from the package.
+    """
+    mask = (1 << 56) - 1
+    planes = [[(c >> (56 * k)) & mask for c in cs] for k in range(count - 1)]
+    return np.array([*planes, [c >> (56 * (count - 1)) for c in cs]], dtype=np.int64)
 
 
 def limb_count(p):
-    return max(1, -(-(p.bits + p.signed) // 64))
+    return max(1, -(-p.bits // 56))
 
 
 def assert_planes(p, cs):
-    """``p`` holds exactly ``cs``, in as many limbs as its bound needs, read-only."""
+    """``p`` holds exactly ``cs``, settled, in as many digits as its bound needs, read-only."""
     assert max(abs(c) for c in cs) < 2**p.bits
-    assert p.signed or min(cs) >= 0
-    assert p.limbs.dtype == np.uint64 and not p.limbs.flags.writeable
+    assert p.limbs.dtype == np.int64 and not p.limbs.flags.writeable
     assert np.array_equal(p.limbs, limbs_by_hand(cs, limb_count(p)))
 
 
@@ -176,13 +179,13 @@ class TestChecksOnPackedRows:
         st.sampled_from([0, 1, 63, 64, 100, 200]),
         st.sampled_from([1, -1]),
     )
-    def test_neighbours_tied_in_their_top_64_bits(self, xs, shift, sign):
-        # Every entry shares its top 64 usable bits, so no order is decided
-        # there: each comparison reaches the lower limbs.
+    def test_neighbours_tied_in_their_top_digit(self, xs, shift, sign):
+        # Every entry shares its top digit, so no order is decided there:
+        # each comparison reaches the lower digits.
         cs = [sign * (1 << 300) + (x << shift) for x in xs]
         p = Polynomial(cs)
-        start = max(p.bits + p.signed, 64) - 64  # a slot's top 64 usable bits start here
-        keys = {(c % 2 ** (64 * limb_count(p)) >> start) % 2**64 for c in cs}
+        start = 56 * (limb_count(p) - 1)  # a slot's top digit starts here
+        keys = {c >> start for c in cs}
         assert len(keys) == 1 and start > shift + 6
         assert_checks_match(p, cs)
         pattern = [sign, -sign]
@@ -190,22 +193,20 @@ class TestChecksOnPackedRows:
 
     @given(st.lists(entries, min_size=1, max_size=30), st.sampled_from([1, 3]), patterns)
     def test_reports_do_not_depend_on_the_limb_layout(self, cs, extra, pattern):
-        # The same row in more limbs than it needs, its bound at the top of
-        # them and so far above its widest coefficient; a nonnegative row
-        # also flagged signed.
+        # The same row in more digits than it needs, its bound at the top
+        # of them and so far above its widest coefficient.
         p = Polynomial(cs)
         count = len(p.limbs) + extra
-        wide = _widen(p.limbs, p.signed, count)
-        layouts = [Polynomial._of(wide, 64 * count - 1, signed) for signed in {p.signed, True}]
+        q = Polynomial._of(limbs_by_hand(trimmed(cs), count), 56 * count)
 
         def reports(q):
             trims = range(min(3, q.degree // 2) + 1)
             return [check_symmetric(q), check_unimodal(q), check_sign_pattern(q, len(pattern), pattern),
                     *(check_almost_unimodal(q, a) for a in trims)]
 
-        for q in layouts:
-            assert len(q.limbs) == count
-            assert reports(q) == reports(p)
+        assert len(q.limbs) == count
+        assert q.coeffs == p.coeffs
+        assert reports(q) == reports(p)
 
     @settings(deadline=None, max_examples=40)
     @given(st.data())
@@ -221,8 +222,8 @@ class TestChecksOnPackedRows:
         # the chain's own limb layout, and the layout of a row built from a list
         limbs = p.limbs.copy()
         limbs[:, m] = limbs_by_hand([cs[m]], len(limbs))[:, 0]
-        moved = Polynomial._of(limbs, p.bits, False)
-        assert (p.bits, len(limbs)) == (123, 2) and len(Polynomial(cs).limbs) == 2
+        moved = Polynomial._of(limbs, p.bits)
+        assert (p.bits, len(limbs)) == (123, 3) and len(Polynomial(cs).limbs) == 2
         for q in (moved, Polynomial(cs)):
             assert check_symmetric(q).to_json_dict() == want_symmetric(cs)
             assert check_unimodal(q).to_json_dict() == want_unimodal(cs)
@@ -232,7 +233,7 @@ class TestChecksOnPackedRows:
     def test_signed_rows_are_packed(self):
         for n, p in enumerate(main_rows(12, sign=-1)):
             cs = oracles.naive_product(oracles.borwein_factors(n))
-            assert p.signed
+            assert (p.limbs[-1] < 0).any()  # a negative coefficient's sign is its top digit's
             assert_planes(p, cs)
             assert check_sign_pattern(p, 3, "+--").to_json_dict() == want_sign_pattern(cs, [1, -1, -1])
             assert check_symmetric(p).to_json_dict() == want_symmetric(cs)
@@ -253,15 +254,16 @@ class TestSlotWidth:
         rows = list(product_rows([f] for f in factors))
         for f, p in enumerate(rows, start=1):
             assert p.bits == f + 1  # the bit length of 2**f
-            assert p.signed == any(sign < 0 for sign, _ in factors[:f])
-            assert 64 * len(p.limbs) >= p.bits + p.signed > 64 * (len(p.limbs) - 1)
+            # a negative coefficient, seen in the top digit, only after a negative factor
+            assert not (p.limbs[-1] < 0).any() or any(sign < 0 for sign, _ in factors[:f])
+            assert 56 * len(p.limbs) >= p.bits > 56 * (len(p.limbs) - 1)
             assert_planes(p, oracles.naive_product(factors[:f]))
 
-    def test_main_rows_167_use_384_bit_slots(self):
-        # Row n has 2(n+1) binomials: 2n + 3 bits, one more limb every 32 rows.
+    def test_main_rows_167_use_392_bit_slots(self):
+        # Row n has 2(n+1) binomials: 2n + 3 bits, one more digit every 28 rows.
         counts = [len(p.limbs) for p in main_rows(167)]
-        assert counts == [(2 * n + 3 + 63) // 64 for n in range(168)]
-        assert counts[-1] * 64 == 384
+        assert counts == [(2 * n + 3 + 55) // 56 for n in range(168)]
+        assert counts[-1] * 56 == 392
 
     def test_a_list_row_grows_its_slots_when_a_factor_needs_them(self):
         factors = [(1, 1)] * 70 + [(-1, 2)] * 3
@@ -269,28 +271,28 @@ class TestSlotWidth:
         assert len(p.limbs) == 1
         for f, (sign, exponent) in enumerate(factors, start=1):
             p = mul_binomial(p, sign, exponent)
-            assert len(p.limbs) == (1 if f < 64 else 2)
-        assert (p.bits, p.signed) == (74, True)
+            assert len(p.limbs) == (1 if f < 56 else 2)
+        assert p.bits == 74 and (p.limbs[-1] < 0).any()
         assert_planes(p, oracles.naive_product(factors))
 
 
 class TestTightBound:
     def test_almkvist_r3_rows_fit_one_limb(self):
-        # 3**40 < 2**64: the block product bounds every row of almkvist --r 3 --n-max 40
-        # by 64 bits (the sum of ceil(log2 3) gave 81, two limbs).
+        # 3**35 < 2**56: the block product bounds the rows of almkvist --r 3
+        # by one digit through n = 35 (the sum of ceil(log2 3) through n = 28).
         rows = [(n, p) for n, p in family_rows(ProductSpec.almkvist(3, 40))]
-        assert all(p.bits == (3**n).bit_length() and len(p.limbs) == 1 for n, p in rows)
+        assert all(p.bits == (3**n).bit_length() and len(p.limbs) == (1 if n <= 35 else 2) for n, p in rows)
         assert rows[-1][1].bits == 64
         assert max(rows[-1][1].coeffs).bit_length() == 56
 
-    def test_almkvist_r7_n150_takes_seven_limbs(self):
+    def test_almkvist_r7_n150_takes_eight_digits(self):
         p = build_product(ProductSpec.almkvist(7, 150))
         assert p.bits == (7**150).bit_length() == 422
-        assert len(p.limbs) == 7  # eight from the sum of ceil(log2 7), 451 bits
+        assert len(p.limbs) == 8  # nine from the sum of ceil(log2 7), 451 bits
 
     def test_mul_binomial_bounds_by_terms_times_the_old_bound(self):
         p = mul_binomial(Polynomial([3, 1]), -1, 2, 3)  # |a_m| <= 3 * 3
-        assert (p.bits, p.signed) == (4, True)
+        assert p.bits == 4 and (p.limbs[-1] < 0).any()
         assert_planes(p, oracles.convolve([3, 1], [1, 0, -1, 0, 1]))
 
 
@@ -347,8 +349,8 @@ def block(sign, exponent, terms):
     return out
 
 
-# Entries of 58..64 or 122..128 bits: a list row packs them in one or two
-# limbs with at most a few bits to spare.
+# Entries of 58..64 or 122..128 bits: a list row packs them in two or
+# three digits, a few bits above a digit edge.
 boundary_entries = st.builds(
     lambda bits, low, sign: sign * ((1 << (bits - 1)) + low % (1 << (bits - 1))),
     st.sampled_from([58, 61, 62, 63, 64, 122, 125, 126, 127, 128]),
@@ -376,9 +378,15 @@ class TestGeometricBlocks:
     def test_a_full_limb_grows_for_the_whole_growth(self):
         cs = [2**62 - 1] * 10
         p = Polynomial(cs)
-        assert (len(p.limbs), p.bits) == (1, 62)
+        assert (len(p.limbs), p.bits) == (2, 62)
         q = mul_binomial(p, 1, 1, 5)  # bound (2**62 - 1) * 5: 65 bits
         assert (len(q.limbs), q.bits) == (2, 65)
+        assert_planes(q, oracles.convolve(cs, [1] * 5))
+        cs = [2**54 - 1] * 10  # a full digit but two bits
+        p = Polynomial(cs)
+        assert (len(p.limbs), p.bits) == (1, 54)
+        q = mul_binomial(p, 1, 1, 5)  # bound (2**54 - 1) * 5: 57 bits
+        assert (len(q.limbs), q.bits) == (2, 57)
         assert_planes(q, oracles.convolve(cs, [1] * 5))
 
     def test_one_term_is_the_identity(self):
@@ -423,7 +431,7 @@ class TestQuotientStream:
         # three bits a block gave 91.
         rows = [(n, p) for n, p in family_rows(ProductSpec.almkvist(5, 30))]
         assert [p.bits for _, p in rows] == [(5**n).bit_length() for n, _ in rows]
-        assert [len(p.limbs) for _, p in rows] == [1] * 27 + [2] * 3
+        assert [len(p.limbs) for _, p in rows] == [1] * 24 + [2] * 6
         assert rows[-1][1].bits == 70
 
 
@@ -533,14 +541,14 @@ class TestHeldRows:
         assert peak < 1.5 * nbytes
 
     @pytest.mark.parametrize("stream, grows_at", [
-        ("main", [31, 63]),
-        ("signed", [31, 63]),
-        ("almkvist", [28, 56]),
+        ("main", [27, 55]),
+        ("signed", [27, 55]),
+        ("almkvist", [25, 49]),
     ], ids=["main", "signed", "almkvist"])
     def test_rows_where_the_limbs_grow_equal_the_oracle(self, stream, grows_at):
         # The consumer holds every third row and drops the rest, so a row
         # grows in the stream's buffer after a dropped row and in a fresh
-        # copy after a held one, where a limb count grows too.
+        # copy after a held one, where a digit count grows too.
         if stream == "almkvist":
             rows, n, want = family_rows(ProductSpec.almkvist(5, 57)), 1, [[1]]
             for k in range(1, 58):
@@ -596,13 +604,22 @@ class TestHeldRows:
 
 
 def edge(k, offset):
-    """2**(64k) + offset: with offset -1, 0 or 1, an entry at the edge of limb k."""
+    """2**(64k) + offset: with offset -1, 0 or 1, an entry at the edge of a 64-bit limb k."""
     return (1 << (64 * k)) + offset
 
 
-# Entries at 2**(64k) - 1, -2**(64k) and their neighbours, and +-1: every
-# limb is 0 or all ones, so each add or subtract carries or borrows.
+def digit_edge(k, offset):
+    """2**(56k) + offset: with a small offset, an entry at the edge of digit k."""
+    return (1 << (56 * k)) + offset
+
+
+# Entries at +-2**(56k) and a few either side, which fill a row's top
+# digit or just pass it, so the digits carry or borrow at every step;
+# entries at 2**(64k) - 1, -2**(64k) and their neighbours, runs of zeros
+# or ones that straddle the digits; and +-1.
 limb_edges = st.one_of(
+    st.builds(lambda k, offset, sign: sign * digit_edge(k, offset),
+              st.integers(1, 3), st.integers(-3, 3), st.sampled_from([1, -1])),
     st.builds(edge, st.integers(1, 3), st.sampled_from([-1, 0, 1])),
     st.builds(lambda k, offset: -edge(k, offset), st.integers(1, 3), st.sampled_from([-1, 0, 1])),
     st.sampled_from([1, -1, 0]),
@@ -644,6 +661,61 @@ class TestCarries:
         assert list(p.coeffs) == [top, 2 * top, top]
         q = mul_binomial(Polynomial([-(2**192), 1]), -1, 1)  # a borrow through every limb
         assert list(q.coeffs) == [-(2**192), 2**192 + 1, -1]
+        top = 2 ** (56 * 3) - 1  # three digits of all ones, one below a fourth
+        p = mul_binomial(Polynomial([top, top]), 1, 1)
+        assert_planes(p, [top, 2 * top, top])
+        q = mul_binomial(Polynomial([-(2**168), 1]), -1, 1)  # a borrow through every digit
+        assert_planes(q, [-(2**168), 2**168 + 1, -1])
+
+
+stream_groups = st.lists(
+    st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(1, 3), st.integers(2, 7)), min_size=1, max_size=6),
+    min_size=10,
+    max_size=25,
+)
+
+
+class TestDigitEdges:
+    @settings(deadline=None, max_examples=40)
+    @given(stream_groups)
+    def test_stream_rows_across_digit_edges(self, groups):
+        # Dozens of blocks of up to 7 terms: bounds past 2**56 and often
+        # 2**112, and groups whose digits would pass 128 copies settle
+        # between their factors.
+        want = [1]
+        for group, p in zip(groups, product_rows(groups)):
+            for factor in group:
+                want = oracles.convolve(want, block(*factor))
+            assert_planes(p, want)
+
+    def test_a_negative_top_digit_grows_a_digit(self):
+        # (1 - q)**f keeps its negative coefficients in its one digit
+        # through f = 55; the 56th factor carries them into a second.
+        rows, want = list(product_rows([(-1, 1)] for _ in range(57))), [1]
+        for p in rows:
+            want = oracles.convolve(want, [1, -1])
+            assert_planes(p, want)
+        assert [len(p.limbs) for p in rows[53:57]] == [1, 1, 2, 2]
+        assert (rows[54].limbs[0] < 0).any()
+        cs = [-(2**56) + 1, 2**56 - 1, -3]  # one digit, the first at its floor
+        p = Polynomial(cs)
+        assert len(p.limbs) == 1
+        for factor in [(1, 1), (-1, 2), (1, 1, 3)]:
+            q = mul_binomial(p, *factor)
+            assert len(q.limbs) == 2
+            assert_planes(q, oracles.convolve(cs, block(*(*factor, 2)[:3])))
+
+    def test_a_factor_of_more_than_128_terms(self):
+        # Each term settles its destination: 130 copies of a full digit
+        # would pass 2**63 in the row built from a list.
+        cs = [2**112 - 1] * 130 + [-(2**112) + 1] * 3
+        for factor in [(1, 1, 130), (-1, 1, 131), (1, 2, 129)]:
+            p = mul_binomial(Polynomial(cs), *factor)
+            assert_planes(p, oracles.convolve(cs, block(*factor)))
+        want = [1]
+        for n, p in family_rows(ProductSpec.almkvist(130, 4)):
+            want = oracles.convolve(want, oracles.geometric_block(130, n))
+            assert_planes(p, want)
 
 
 class TestPlaneReads:
@@ -656,25 +728,26 @@ class TestPlaneReads:
         assert p._coeffs is None
 
     def test_equal_rows_in_different_layouts(self):
-        # Row 31 carries a 65-bit bound (two limbs); its coefficients fit one.
+        # Row 31 carries a 65-bit bound (two digits); its coefficients fit one.
         *_, row = main_rows(31)
         plain = Polynomial(row.coeffs)
         assert (len(row.limbs), len(plain.limbs)) == (2, 1)
         assert row == plain and hash(row) == hash(plain)
         # (1 + q)(1 - q + q**2) = 1 + q**3: a signed row with no negative coefficient
         (signed,) = product_rows([[(1, 1), (-1, 1, 3)]])
-        assert signed.signed and signed == Polynomial([1, 0, 0, 1])
+        assert signed == Polynomial([1, 0, 0, 1])
         assert hash(signed) == hash(Polynomial([1, 0, 0, 1]))
         moved = list(row.coeffs)
         moved[400] += 1
         assert row != Polynomial(moved)
         assert Polynomial([1, 2]) != Polynomial([1, 2, 3])
         assert Polynomial([-1]) != Polynomial([2**64 - 1])
+        assert Polynomial([-1]) != Polynomial([2**56 - 1])  # one digit: the top is signed
 
     def test_dump_crosses_its_blocks(self):
-        # 5,044 signed two-limb coefficients: two blocks of the dump
+        # 5,044 two-digit coefficients of both signs: five blocks of the dump
         *_, p = main_rows(40, sign=-1)
         cs = oracle_main_rows(40, sign=-1)[-1]
-        assert (len(cs), len(p.limbs), p.signed) == (5044, 2, True)
+        assert (len(cs), len(p.limbs), min(cs) < 0) == (5044, 2, True)
         assert list(dump_lines(p)) == [f"{m},{c}" for m, c in enumerate(cs)]
         assert p._coeffs is None

@@ -59,6 +59,7 @@ COMMANDS = {
     "verify_odd": ["verify", "--family", "odd", "--n-max", "60", "--report", "r.json"],
     "verify_almkvist": ["verify", "--family", "almkvist", "--r", "3", "--n-max", "40", "--report", "r.json"],
     "verify_general": ["verify", "--family", "general", "--factors", "+1,+2,+4,+5,+7,+8,-3,+9", "--report", "r.json"],
+    "almkvist_r130": ["verify", "--family", "almkvist", "--r", "130", "--n-max", "4", "--report", "r.json"],
     "trig_7_3000": ["trig", "--seed", "7", "--samples", "3000", "--report", "r.json"],
     "trig_35_200": ["trig", "--seed", "35", "--samples", "200", "--report", "r.json"],
     "trig_1039885960": ["trig", "--seed", "1039885960", "--report", "r.json"],
