@@ -39,7 +39,7 @@ rep = replay_induction(60)
 print("induction replay:", rep.passed, "-", rep.details)
 print()
 
-bad = sum(not check_sign_pattern(signed, 3, "+--").passed for signed in main_rows(30, sign=-1))
+bad = sum(not check_sign_pattern(signed, "+--").passed for signed in main_rows(30, sign=-1))
 print(f"signed product keeps the +-- cycle through n=30: {bad == 0}")
 print()
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .checks import CheckReport
 from .errors import DomainViolation, GridTooCoarse, NearSingular, SingularPoint
-from .polynomials import coeff, main_degree, main_rows
+from .polynomials import Polynomial, ProductSpec, checked_rows, coeff, main_degree
 
 # Unused here, but bench/tracing.py wraps these names in this module; keep them bound.
 from .polynomials import build_product, mul_binomial  # noqa: F401
@@ -174,6 +174,19 @@ def _at_point(bound_id: str, x: float, margin: float, budget: float, detail: dic
     return BoundCertificate(bound_id=bound_id, grid_lo=x, grid_hi=x, grid_points=1,
                             min_margin=float(margin), argmin=x, error_budget=float(budget),
                             n=n, detail=detail)
+
+
+def _on_grid(bound_id: str, xs, margins, budget: float, detail: dict,
+             points: int | None = None) -> BoundCertificate:
+    """A certificate on the grid ``xs``: its least margin, at the first point that takes it.
+
+    The grid spans min(xs)..max(xs); ``points`` is ``len(margins)`` unless given.
+    """
+    worst = int(np.argmin(margins))
+    return BoundCertificate(bound_id=bound_id, grid_lo=float(np.min(xs)), grid_hi=float(np.max(xs)),
+                            grid_points=len(margins) if points is None else points,
+                            min_margin=float(margins[worst]), argmin=float(xs[worst]),
+                            error_budget=float(budget), detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +453,8 @@ def _worst_margin(bound: float, values, errors, thetas) -> dict:
             "error_budget": float(errors.max())}
 
 
-def certify_E_bound(
-    n: int,
-    grid_points: int = 20000,
-    *,
-    slope: float = ENVELOPE_SLOPE,
-    intercept: float = ENVELOPE_INTERCEPT,
-) -> BoundCertificate:
-    """Certify e_exponent <= -slope*n - intercept on :func:`envelope_grid`.
+def certify_E_bound(n: int, grid_points: int = 20000) -> BoundCertificate:
+    """Certify e_exponent <= -ENVELOPE_SLOPE*n - ENVELOPE_INTERCEPT on :func:`envelope_grid`.
 
     The two constituent ranges are additionally certified against their
     own sharper constants and reported under ``detail["branches"]``; the
@@ -459,7 +466,7 @@ def certify_E_bound(
         raise ValueError("certification needs at least 1000 grid points")
     thetas = envelope_grid(n, grid_points)
     values, errors = envelope_exponent_grid(n, thetas)
-    headline = _worst_margin(-slope * n - intercept, values, errors, thetas)
+    headline = _worst_margin(-ENVELOPE_SLOPE * n - ENVELOPE_INTERCEPT, values, errors, thetas)
     branches: dict = {}
     low_mask = thetas <= math.pi / 6
     for name, mask, branch_slope, branch_intercept in (
@@ -480,7 +487,7 @@ def certify_E_bound(
         grid_points=grid_points,
         passed=all(w["min_margin"] > w["error_budget"] for w in (headline, *branches.values())),
         n=n,
-        detail={"slope": slope, "intercept": intercept, "branches": branches},
+        detail={"slope": ENVELOPE_SLOPE, "intercept": ENVELOPE_INTERCEPT, "branches": branches},
         **headline,
     )
 
@@ -581,37 +588,12 @@ def f_sweep_certificates(n_lo: int = 168, n_hi: int = 5000) -> list[BoundCertifi
         _at_point("f_168_window", 168.0, window_margin, 1e-12,
                   {"f_168": f168, "window": [F_168_FLOOR, F_168_CEILING]}, n=168)
     ]
-    decreases = logs[:-1] - logs[1:]
-    idx = int(np.argmin(decreases))
-    certificates.append(
-        BoundCertificate(
-            bound_id="f_strictly_decreasing",
-            grid_lo=float(n_lo),
-            grid_hi=float(n_hi),
-            grid_points=len(ns),
-            min_margin=float(decreases[idx]),
-            argmin=float(ns[idx]),
-            error_budget=1e-9,
-            detail={"metric": "decrease of log f between consecutive n"},
-        )
-    )
-    dmax = int(np.argmax(derivs))
-    ceiling_margin = float(F_LOG_DERIVATIVE_CEILING - derivs[dmax])
-    certificates.append(
-        BoundCertificate(
-            bound_id="f_log_derivative_ceiling",
-            grid_lo=float(n_lo),
-            grid_hi=float(n_hi),
-            grid_points=len(ns),
-            min_margin=ceiling_margin,
-            argmin=float(ns[dmax]),
-            error_budget=1e-12,
-            detail={
-                "ceiling": F_LOG_DERIVATIVE_CEILING,
-                "max_log_derivative": float(derivs[dmax]),
-            },
-        )
-    )
+    certificates.append(_on_grid("f_strictly_decreasing", ns, logs[:-1] - logs[1:], 1e-9,
+                                 {"metric": "decrease of log f between consecutive n"}, points=len(ns)))
+    # Each derivative lies within a factor 2 of the ceiling, so every margin is exact
+    # (Sterbenz) and the least margin sits at the largest derivative.
+    certificates.append(_on_grid("f_log_derivative_ceiling", ns, F_LOG_DERIVATIVE_CEILING - derivs, 1e-12,
+                                 {"ceiling": F_LOG_DERIVATIVE_CEILING, "max_log_derivative": float(derivs.max())}))
     return certificates
 
 
@@ -867,20 +849,8 @@ def sweep_inequality_margins(points: int = 10_000) -> list[BoundCertificate]:
             formula, _, sweep_range = _INEQUALITIES[inequality]
             xs = np.linspace(*sweep_range, points)
             margins = formula(xs)
-        idx = int(np.argmin(margins))
-        raw = float(margins[idx])
-        certificates.append(
-            BoundCertificate(
-                bound_id=f"inequality_margin_{inequality}",
-                grid_lo=float(xs.min()),
-                grid_hi=float(xs.max()),
-                grid_points=int(len(margins)),
-                min_margin=float(raw + INEQUALITY_SLACK),
-                argmin=float(xs[idx]),
-                error_budget=0.0,
-                detail={"raw_min_margin": raw, "slack": INEQUALITY_SLACK},
-            )
-        )
+        detail = {"raw_min_margin": float(margins.min()), "slack": INEQUALITY_SLACK}
+        certificates.append(_on_grid(f"inequality_margin_{inequality}", xs, margins + INEQUALITY_SLACK, 0.0, detail))
     return certificates
 
 
@@ -997,30 +967,25 @@ def reconstruction_sweep(n_max: int = 8) -> list[CheckReport]:
     before any quadrature runs.
     """
     _reconstruction_guard(n_max)
-    reports = []
-    for n, p in enumerate(main_rows(n_max)):
-        d = main_degree(n)
-        # Offsets mu and -mu share the integrand cos(mu theta) P(theta).
-        approx_at = coeff_by_integral(n, range(d // 2 + 1)).tolist()
-        worst = -1.0
-        worst_m = 0
-        for m, exact in enumerate(p.coeffs):
-            approx = approx_at[min(m, d - m)]
-            rel = abs(approx - exact) / exact
-            if rel > worst:
-                worst = rel
-                worst_m = m
-        ok = worst <= 1e-6
-        reports.append(
-            CheckReport(
-                "integral_reconstruction",
-                ok,
-                first_violation=None if ok else worst_m,
-                n=n,
-                details=f"max_rel_err={worst:.3e} at m={worst_m}",
-            )
-        )
-    return reports
+    return list(checked_rows(ProductSpec.main(n_max), _reconstruction_report))
+
+
+def _reconstruction_report(n: int, p: Polynomial) -> CheckReport:
+    """Row n of :func:`reconstruction_sweep`."""
+    d = main_degree(n)
+    # Offsets mu and -mu share the integrand cos(mu theta) P(theta).
+    approx_at = coeff_by_integral(n, range(d // 2 + 1)).tolist()
+    worst = -1.0
+    worst_m = 0
+    for m, exact in enumerate(p.coeffs):
+        approx = approx_at[min(m, d - m)]
+        rel = abs(approx - exact) / exact
+        if rel > worst:
+            worst = rel
+            worst_m = m
+    ok = worst <= 1e-6
+    return CheckReport("integral_reconstruction", ok, first_violation=None if ok else worst_m, n=n,
+                       details=f"max_rel_err={worst:.3e} at m={worst_m}")
 
 
 def sign_accord_sweep(n_max: int = 12) -> list[CheckReport]:
@@ -1040,34 +1005,29 @@ def sign_accord_sweep(n_max: int = 12) -> list[CheckReport]:
     ``first_violation == 49``. The discrete difference has its own
     kernel, sin(theta) sin((mu+1) theta).
     """
-    reports = []
-    for n, p in enumerate(main_rows(n_max)):
-        degree = main_degree(n)
-        checked = 0
-        skipped = 0
-        violation = None
-        mus = list(range(2 - degree % 2, 6 * n + 4, 2))
-        result = quad_I(n, mus, 0.0, math.pi / 2)
-        for mu, value, error in zip(mus, result.value, result.abs_error_estimate):
-            m = (degree - mu) // 2
-            if abs(value) <= error:
-                skipped += 1
-                continue
-            delta = coeff(p, m) - coeff(p, m - 1)
-            if delta == 0:
-                skipped += 1
-                continue
-            checked += 1
-            if (value > 0) != (delta > 0):
-                violation = m
-                break
-        reports.append(
-            CheckReport(
-                "sign_accord",
-                violation is None,
-                first_violation=violation,
-                n=n,
-                details=f"checked={checked} skipped={skipped}",
-            )
-        )
-    return reports
+    return list(checked_rows(ProductSpec.main(n_max), _sign_accord_report))
+
+
+def _sign_accord_report(n: int, p: Polynomial) -> CheckReport:
+    """Row n of :func:`sign_accord_sweep`."""
+    degree = main_degree(n)
+    checked = 0
+    skipped = 0
+    violation = None
+    mus = list(range(2 - degree % 2, 6 * n + 4, 2))
+    result = quad_I(n, mus, 0.0, math.pi / 2)
+    for mu, value, error in zip(mus, result.value, result.abs_error_estimate):
+        m = (degree - mu) // 2
+        if abs(value) <= error:
+            skipped += 1
+            continue
+        delta = coeff(p, m) - coeff(p, m - 1)
+        if delta == 0:
+            skipped += 1
+            continue
+        checked += 1
+        if (value > 0) != (delta > 0):
+            violation = m
+            break
+    return CheckReport("sign_accord", violation is None, first_violation=violation, n=n,
+                       details=f"checked={checked} skipped={skipped}")

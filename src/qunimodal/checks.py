@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeMismatch
-from .polynomials import Polynomial, ProductSpec, family_rows, main_degree
+from .polynomials import Polynomial, ProductSpec, checked_rows, main_degree
 
 # Unused here, but bench/tracing.py wraps these names in this module; keep them bound.
 from .polynomials import build_product, recurrence_step  # noqa: F401
@@ -149,36 +149,42 @@ def check_lemma_range(n: int, p: Polynomial) -> CheckReport:
     return CheckReport("lemma_range", True, n=n, details=f"window=[{lo},{hi}]")
 
 
+def _induction_step(n: int, p: Polynomial) -> CheckReport | None:
+    """Why row n of the main chain breaks the induction, or None if it carries on."""
+    if n == 0:
+        if check_symmetric(p).passed and check_unimodal(p).passed:
+            return None
+        return CheckReport("induction", False, n=0, details="base row failed")
+    sym = check_symmetric(p)
+    if not sym.passed:
+        return CheckReport("induction", False, first_violation=sym.first_violation, n=n,
+                           details=f"symmetry broke at n={n}")
+    m = _first_descent(p, 1, 3 * n * n // 2)
+    if m is not None:
+        return CheckReport("induction", False, first_violation=m, n=n,
+                           details=f"carried monotonicity broke at n={n}, m={m}")
+    window = check_lemma_range(n, p)
+    if not window.passed:
+        return CheckReport("induction", False, first_violation=window.first_violation, n=n,
+                           details=f"central window broke at n={n}, m={window.first_violation}")
+    return None
+
+
 def replay_induction(n_max: int) -> CheckReport:
     """Rebuild the main chain row by row and re-verify the induction.
 
-    For each n >= 1 the freshly extended row is checked for symmetry,
-    for monotonicity on 1 <= m <= floor(3n^2/2) (the segment carried
-    over from row n-1), and for the central window via
-    :func:`check_lemma_range`. Together with symmetry those two
-    segments cover 1 <= m <= floor(degree/2), which is unimodality.
+    Row 0 must be symmetric and unimodal. For each n >= 1 the freshly
+    extended row is checked for symmetry, for monotonicity on
+    1 <= m <= floor(3n^2/2) (the segment carried over from row n-1), and
+    for the central window via :func:`check_lemma_range`. Together with
+    symmetry those two segments cover 1 <= m <= floor(degree/2), which is
+    unimodality. The replay stops at the first row that fails.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    rows = family_rows(ProductSpec.main(n_max))
-    _, p = next(rows)
-    if not (check_symmetric(p).passed and check_unimodal(p).passed):
-        return CheckReport("induction", False, n=0, details="base row failed")
-    del p  # released before the stream builds the next row
-    for n, p in rows:
-        sym = check_symmetric(p)
-        if not sym.passed:
-            details = f"symmetry broke at n={n}"
-            return CheckReport("induction", False, first_violation=sym.first_violation, n=n, details=details)
-        m = _first_descent(p, 1, 3 * n * n // 2)
-        if m is not None:
-            details = f"carried monotonicity broke at n={n}, m={m}"
-            return CheckReport("induction", False, first_violation=m, n=n, details=details)
-        window = check_lemma_range(n, p)
-        if not window.passed:
-            details = f"central window broke at n={n}, m={window.first_violation}"
-            return CheckReport("induction", False, first_violation=window.first_violation, n=n, details=details)
-        del p  # released before the stream builds the next row
+    for failure in checked_rows(ProductSpec.main(n_max), _induction_step):
+        if failure is not None:
+            return failure
     return CheckReport("induction", True, n=n_max, details=f"chain verified through n={n_max}")
 
 
@@ -195,17 +201,15 @@ def _parse_pattern(pattern) -> tuple[int, ...]:
     return signs
 
 
-def check_sign_pattern(p: Polynomial, period: int, pattern) -> CheckReport:
-    """Verify coefficient signs follow ``pattern`` cyclically mod ``period``.
+def check_sign_pattern(p: Polynomial, pattern) -> CheckReport:
+    """Verify coefficient signs follow ``pattern`` cyclically, mod its length.
 
     ``pattern`` is either a string over '+-' or a sequence of +1/-1
     values. A zero coefficient is compatible with either sign.
     """
     signs = _parse_pattern(pattern)
-    if period < 1:
-        raise ValueError("period must be >= 1")
-    if period != len(signs):
-        raise ValueError(f"period {period} does not match pattern length {len(signs)}")
+    if not signs:
+        raise ValueError("the pattern needs at least one sign")
     coefficient_signs = (p.limbs != 0).any(axis=0).astype(np.int8)
     coefficient_signs[p.limbs[-1] < 0] = -1
     want = np.resize(np.array(signs, dtype=np.int8), p.degree + 1)

@@ -64,7 +64,7 @@ from .checks import (
     replay_induction,
 )
 from .errors import GridTooCoarse, NearSingular, SingularPoint
-from .polynomials import ProductSpec, _dump_blocks, build_product, family_rows, main_rows
+from .polynomials import ProductSpec, _dump_blocks, build_product, checked_rows
 
 # Unused here, but bench/tracing.py wraps these names in this module; keep them bound.
 from .analytic import i2_ratio_check  # noqa: F401
@@ -168,24 +168,18 @@ def _cmd_expand(config: argparse.Namespace):
 
 
 def _cmd_verify(config: argparse.Namespace):
-    reports = []
-    for n, p in family_rows(_product_spec(config, config.n_max)):
-        if n is None or n >= config.n_min:
-            sym = check_symmetric(p)
-            uni = check_unimodal(p) if config.a is None else check_almost_unimodal(p, config.a)
-            sym.n = uni.n = n
-            reports.extend((sym, uni))
-        del p  # released before the stream builds the next row
-    return reports
+    def check(n, p):
+        sym = check_symmetric(p)
+        uni = check_unimodal(p) if config.a is None else check_almost_unimodal(p, config.a)
+        sym.n = uni.n = n
+        return sym, uni
+
+    pairs = checked_rows(_product_spec(config, config.n_max), check, config.n_min)
+    return [report for pair in pairs for report in pair]
 
 
 def _cmd_lemma(config: argparse.Namespace):
-    start, reports = max(config.n_min, 1), []
-    for n, p in family_rows(ProductSpec.main(config.n_max)):
-        if n >= start:
-            reports.append(check_lemma_range(n, p))
-        del p  # released before the stream builds the next row
-    return reports
+    return list(checked_rows(ProductSpec.main(config.n_max), check_lemma_range, max(config.n_min, 1)))
 
 
 def _cmd_induction(config: argparse.Namespace):
@@ -193,15 +187,12 @@ def _cmd_induction(config: argparse.Namespace):
 
 
 def _cmd_borwein(config: argparse.Namespace):
-    reports, n = [], 0
-    for p in main_rows(config.n_max, sign=-1):  # enumerate would hold the last row while the next is built
-        if n >= config.n_min:
-            rep = check_sign_pattern(p, 3, "+--")
-            rep.n = n
-            reports.append(rep)
-        del p  # released before the stream builds the next row
-        n += 1
-    return reports
+    def check(n, p):
+        report = check_sign_pattern(p, "+--")
+        report.n = n
+        return report
+
+    return list(checked_rows(ProductSpec.signed(config.n_max), check, config.n_min))
 
 
 def _write_envelope_csv(n: int, grid_points: int, path: str) -> None:

@@ -19,12 +19,17 @@ as its last row (:func:`product_rows`).
 :func:`build_product` is its last row:
 
 * ``main``: prod_{k=0}^{n} (1 + q**(3k+1)) (1 + q**(3k+2)), degree
-  3 (n+1)**2, through :func:`main_rows` (which also streams the signed
-  variant). :func:`recurrence_step` states the paper's row recurrence.
+  3 (n+1)**2, through :func:`main_rows`. :func:`recurrence_step` states
+  the paper's row recurrence.
+* ``signed``: prod_{k=0}^{n} (1 - q**(3k+1)) (1 - q**(3k+2)), the main
+  family's signed variant, through ``main_rows(n, -1)``.
 * ``odd``: prod_{k=1}^{n} (1 + q**(2k-1)).
 * ``almkvist``: prod_{k=1}^{n} (1 - q**(rk)) / (1 - q**k), a plain product
   of the geometric blocks 1 + q**k + ... + q**((r-1)k); no row is divided.
 * ``general``: an explicit list of (sign, exponent) binomial factors.
+
+:func:`checked_rows` runs a check on each row of a family and drops the
+row before the stream builds the next, so every row grows in place.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +47,7 @@ __all__ = [
     "Polynomial",
     "ProductSpec",
     "build_product",
+    "checked_rows",
     "coeff",
     "divide_exact",
     "dump_lines",
@@ -174,6 +180,12 @@ class ProductSpec:
         if n < 0:
             raise ValueError("main family needs n >= 0")
         return cls(family="main", n=n)
+
+    @classmethod
+    def signed(cls, n: int) -> "ProductSpec":
+        if n < 0:
+            raise ValueError("signed family needs n >= 0")
+        return cls(family="signed", n=n)
 
     @classmethod
     def odd(cls, n: int) -> "ProductSpec":
@@ -320,14 +332,14 @@ def main_rows(n_max: int, sign: int = 1) -> Iterator[Polynomial]:
 def family_rows(spec: ProductSpec) -> Iterator[tuple[int | None, Polynomial]]:
     """Yield (n, row) for each row of the family ``spec`` names, up to ``spec.n``.
 
-    ``main`` and ``odd`` start at n = 0 and ``almkvist`` at n = 1; a
+    ``main``, ``signed`` and ``odd`` start at n = 0 and ``almkvist`` at n = 1; a
     ``general`` product is one row, tagged n = None. No reference to a row
-    is kept once the stream moves on (``enumerate`` would keep one), so a
-    consumer that drops its row before asking for the next lets the next
+    is kept once the stream moves on, so a consumer that drops its row
+    before asking for the next (as :func:`checked_rows` does) lets the next
     grow in place, in the array that held it.
     """
-    if spec.family == "main":
-        rows, n = main_rows(spec.n), 0
+    if spec.family in ("main", "signed"):
+        rows, n = main_rows(spec.n, -1 if spec.family == "signed" else 1), 0
     elif spec.family == "odd":
         rows, n = product_rows([(1, 2 * k - 1)] if k else [] for k in range(spec.n + 1)), 0
     elif spec.family == "almkvist":
@@ -342,6 +354,19 @@ def family_rows(spec: ProductSpec) -> Iterator[tuple[int | None, Polynomial]]:
         yield n, p
         del p
         n += 1
+
+
+def checked_rows(spec: ProductSpec, check: Callable, n_min: int = 0) -> Iterator:
+    """Yield ``check(n, row)`` for each row of :func:`family_rows` from n = ``n_min`` on.
+
+    A ``general`` product's one row is always checked. Each row is dropped
+    before the stream builds the next, so every row grows in place; a
+    check must not keep its row.
+    """
+    for n, p in family_rows(spec):
+        if n is None or n >= n_min:
+            yield check(n, p)
+        del p
 
 
 def build_product(spec: ProductSpec) -> Polynomial:

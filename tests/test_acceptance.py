@@ -227,7 +227,7 @@ def test_11_borwein_pattern():
     for n in range(61):
         p = mul_binomial(p, -1, 3 * n + 1)
         p = mul_binomial(p, -1, 3 * n + 2)
-        ok = ok and check_sign_pattern(p, 3, "+--").passed
+        ok = ok and check_sign_pattern(p, "+--").passed
     record_acceptance(11, "signed product keeps the +-- cycle for n <= 60", ok)
 
 

@@ -41,7 +41,7 @@ from qunimodal.analytic import (
     trig_identity_residual,
     trig_inequality_margin,
 )
-from qunimodal.analytic import _sin_multiple, _sine_power_sum, _sines
+from qunimodal.analytic import _on_grid, _sin_multiple, _sine_power_sum, _sines
 from qunimodal.analytic import _sine_power_sums
 from qunimodal.errors import (
     DomainViolation,
@@ -264,8 +264,9 @@ class TestCertifyEnvelope:
         m2000 = certify_E_bound(2000, 2000).min_margin
         assert m2000 > m168
 
-    def test_steep_slope_fails(self):
-        cert = certify_E_bound(168, 2000, slope=0.9)
+    def test_steep_slope_fails(self, monkeypatch):
+        monkeypatch.setattr(analytic, "ENVELOPE_SLOPE", 0.9)
+        cert = certify_E_bound(168, 2000)
         assert not cert.passed
         assert cert.min_margin < 0
 
@@ -320,6 +321,29 @@ class TestComparisonFactor:
     def test_certificate_domain(self):
         with pytest.raises(ValueError):
             f_sweep_certificates(100, 200)
+
+    def test_decrease_counts_every_n_of_its_range(self):
+        _, decreasing, _ = f_sweep_certificates(168, 400)
+        assert (decreasing.grid_lo, decreasing.grid_hi, decreasing.grid_points) == (168.0, 400.0, 233)
+
+
+class TestGridCertificate:
+    def test_a_tie_reports_its_first_point(self):
+        cert = _on_grid("tie", np.array([0.5, 1.5, 2.5, 3.5]), np.array([2.0, -1.0, 4.0, -1.0]), 0.0, {})
+        assert (cert.min_margin, cert.argmin) == (-1.0, 1.5)
+        assert not cert.passed
+
+    def test_the_grid_spans_its_points(self):
+        cert = _on_grid("span", np.array([3.0, -2.0, 7.0, 1.0]), np.array([1.0, 2.0, 3.0, 0.5]), 0.25, {"k": 1})
+        assert (cert.grid_lo, cert.grid_hi, cert.grid_points) == (-2.0, 7.0, 4)
+        assert (cert.min_margin, cert.argmin, cert.error_budget, cert.detail) == (0.5, 1.0, 0.25, {"k": 1})
+        assert cert.passed
+
+    def test_points_override_the_margin_count(self):
+        # Differences between neighbours: one margin fewer than the points they span.
+        ns = np.arange(10.0, 15.0)
+        cert = _on_grid("steps", ns, np.diff(ns), 0.0, {}, points=len(ns))
+        assert (cert.grid_lo, cert.grid_hi, cert.grid_points, cert.argmin) == (10.0, 14.0, 5, 10.0)
 
 
 class TestGammaTail:

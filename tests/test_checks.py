@@ -139,28 +139,28 @@ class TestReplayInduction:
 
 class TestSignPattern:
     def test_signed_main_row(self):
-        rep = check_sign_pattern(Polynomial([1, -1, -1, 1, -1, 0, 2, 0, -1, 1, -1, -1, 1]), 3, "+--")
+        rep = check_sign_pattern(Polynomial([1, -1, -1, 1, -1, 0, 2, 0, -1, 1, -1, -1, 1]), "+--")
         assert rep.passed
 
     def test_zero_matches_either_sign(self):
         # q^2 has zeros at slots wanting both signs and +1 at a plus slot.
-        assert check_sign_pattern(Polynomial([0, 0, 1]), 2, "+-").passed
+        assert check_sign_pattern(Polynomial([0, 0, 1]), "+-").passed
 
     def test_first_violation_index(self):
-        rep = check_sign_pattern(Polynomial([1, 1]), 2, "+-")
+        rep = check_sign_pattern(Polynomial([1, 1]), "+-")
         assert not rep.passed
         assert rep.first_violation == 1
 
     def test_accepts_numeric_pattern(self):
-        assert check_sign_pattern(Polynomial([1, -2]), 2, [1, -1]).passed
+        assert check_sign_pattern(Polynomial([1, -2]), [1, -1]).passed
 
     def test_rejects_bad_patterns(self):
         with pytest.raises(ValueError):
-            check_sign_pattern(Polynomial([1]), 2, "+?")
+            check_sign_pattern(Polynomial([1]), "+?")
         with pytest.raises(ValueError):
-            check_sign_pattern(Polynomial([1]), 3, "+-")
+            check_sign_pattern(Polynomial([1]), [1, 0])
         with pytest.raises(ValueError):
-            check_sign_pattern(Polynomial([1]), 2, [1, 0])
+            check_sign_pattern(Polynomial([1]), "")
 
 
 class TestAlmostUnimodal:

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 import oracles
-from qunimodal.polynomials import ProductSpec, _times as times, build_product, family_rows
+from qunimodal import cli
+from qunimodal.polynomials import ProductSpec, _times as times, build_product, checked_rows, family_rows
 
 
 def rows_of(spec):
@@ -43,16 +44,46 @@ class TestFamilyRows:
     def test_a_dropped_row_is_held_only_by_the_stream_extending_it(self, spec, monkeypatch):
         # Every factor, whether it extends a row the consumer has seen or an
         # intermediate product it never saw, finds its input held the same way.
-        counts = []
+        counts, homes = [], set()
 
         def spy(limbs, *args):
             counts.append(sys.getrefcount(limbs))
+            homes.add(id(limbs.base))  # a held row would send the next to a fresh array
             return times(limbs, *args)
 
         monkeypatch.setattr("qunimodal.polynomials._times", spy)
         for _, p in family_rows(spec):
             del p
-        assert len(counts) >= 6 and len(set(counts)) == 1
+        assert len(counts) >= 6 and len(set(counts)) == 1 and len(homes) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--family", "main", "--n-max", "12"],
+        ["verify", "--family", "odd", "--a", "3", "--n-min", "27", "--n-max", "33"],
+        ["verify", "--family", "almkvist", "--r", "3", "--n-min", "11", "--n-max", "16"],
+        ["verify", "--family", "general", "--factors", "+1,+2,+3,+4,+5,+6,+7"],
+        ["almkvist", "--r", "4", "--n-min", "3", "--n-max", "12"],
+        ["lemma", "--n-min", "5", "--n-max", "12"],
+        ["induction", "--n-max", "12"],
+        ["borwein", "--n-min", "5", "--n-max", "12"],
+    ], ids=lambda argv: "-".join(argv[:3]))
+    def test_every_row_command_grows_its_rows_in_place(self, argv, tmp_path, monkeypatch):
+        # One stream array (the planes' base) through every factor of every
+        # row, held the same way each time: no row outlives its check.
+        counts, homes = [], set()
+
+        def spy(limbs, *args):
+            counts.append(sys.getrefcount(limbs.base))
+            homes.add(id(limbs.base))
+            return times(limbs, *args)
+
+        monkeypatch.setattr("qunimodal.polynomials._times", spy)
+        assert cli.main([*argv, "--report", str(tmp_path / "r.json")]) == 0
+        assert len(counts) >= 6 and len(set(counts)) == 1 and len(homes) == 1
+
+    def test_checked_rows_starts_at_n_min(self):
+        seen = list(checked_rows(ProductSpec.signed(6), lambda n, p: (n, list(p.coeffs)), 4))
+        assert seen == [(n, oracles.naive_product(oracles.borwein_factors(n))) for n in range(4, 7)]
+        assert list(checked_rows(ProductSpec.general([(1, 2)]), lambda n, p: n, 4)) == [None]
 
     def test_odd_spec_validation(self):
         with pytest.raises(ValueError):

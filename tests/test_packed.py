@@ -171,7 +171,7 @@ class TestChecksOnPackedRows:
     @given(st.lists(entries, min_size=1, max_size=30), patterns)
     def test_sign_pattern_matches_the_oracle(self, cs, pattern):
         p = Polynomial(cs)
-        got = check_sign_pattern(p, len(pattern), pattern).to_json_dict()
+        got = check_sign_pattern(p, pattern).to_json_dict()
         assert got == want_sign_pattern(trimmed(cs), pattern)
 
     @given(
@@ -189,7 +189,7 @@ class TestChecksOnPackedRows:
         assert len(keys) == 1 and start > shift + 6
         assert_checks_match(p, cs)
         pattern = [sign, -sign]
-        assert check_sign_pattern(p, 2, pattern).to_json_dict() == want_sign_pattern(cs, pattern)
+        assert check_sign_pattern(p, pattern).to_json_dict() == want_sign_pattern(cs, pattern)
 
     @given(st.lists(entries, min_size=1, max_size=30), st.sampled_from([1, 3]), patterns)
     def test_reports_do_not_depend_on_the_limb_layout(self, cs, extra, pattern):
@@ -201,7 +201,7 @@ class TestChecksOnPackedRows:
 
         def reports(q):
             trims = range(min(3, q.degree // 2) + 1)
-            return [check_symmetric(q), check_unimodal(q), check_sign_pattern(q, len(pattern), pattern),
+            return [check_symmetric(q), check_unimodal(q), check_sign_pattern(q, pattern),
                     *(check_almost_unimodal(q, a) for a in trims)]
 
         assert len(q.limbs) == count
@@ -235,7 +235,7 @@ class TestChecksOnPackedRows:
             cs = oracles.naive_product(oracles.borwein_factors(n))
             assert (p.limbs[-1] < 0).any()  # a negative coefficient's sign is its top digit's
             assert_planes(p, cs)
-            assert check_sign_pattern(p, 3, "+--").to_json_dict() == want_sign_pattern(cs, [1, -1, -1])
+            assert check_sign_pattern(p, "+--").to_json_dict() == want_sign_pattern(cs, [1, -1, -1])
             assert check_symmetric(p).to_json_dict() == want_symmetric(cs)
             assert check_unimodal(p).to_json_dict() == want_unimodal(cs)
             assert list(p.coeffs) == cs
