@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -216,10 +217,14 @@ def cosine_product(n: int, theta):
     256 KB; every step is elementwise, so a value does not depend on its
     slice, nor on the thread that computes it. On the rotation path
     (n >= B), a call of more than one slice, in a process that may run on
-    more than one CPU, shares its slices with one helper thread: each
-    takes the next slice start from one iterator and writes its own part
-    of the output (numpy drops the GIL inside each ufunc). Any other call
-    starts no thread.
+    more than one CPU, starts one plain ``threading.Thread`` that shares
+    its slices: each thread takes the next slice start from one iterator
+    and writes its own part of the output (numpy drops the GIL inside
+    each ufunc). The call joins the thread before it returns and re-raises
+    its error, so no thread outlives the call, and it imports nothing that
+    numpy has not: a ``concurrent.futures`` pool would load 12 more stdlib
+    modules, about 1.4 MB of a process that compiles them (the first
+    round of the ``lobe_ratio`` benchmark). Any other call starts no thread.
     """
     th = np.asarray(theta, dtype=float)
     out = np.empty_like(th)
@@ -232,11 +237,22 @@ def cosine_product(n: int, theta):
             flat_out[start:stop] = _cosine_product_slice(n, flat_th[start:stop])
 
     if n >= _COSINE_BLOCK and flat_th.size > _COSINE_SLICE and _cpu_count() > 1:
-        helper = _helper().submit(drain)
+        failed: list[BaseException] = []
+
+        def help_drain():
+            try:
+                drain()
+            except BaseException as exc:  # re-raised by the caller below
+                failed.append(exc)
+
+        helper = threading.Thread(target=help_drain, name="cosine_product")
+        helper.start()
         try:
             drain()
         finally:
-            helper.result()  # waits for the helper's last slice and re-raises its error
+            helper.join()  # waits for the helper's last slice
+        if failed:
+            raise failed[0]
     else:
         drain()
     np.ldexp(out, -((n + 1) % 512), out=out)
@@ -245,12 +261,6 @@ def cosine_product(n: int, theta):
 
 def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-@cache
-def _helper():
-    from concurrent.futures import ThreadPoolExecutor  # only processes that use it import it
-    return ThreadPoolExecutor(max_workers=1)
 
 
 def _cosine_product_slice(n: int, th: np.ndarray) -> np.ndarray:
@@ -286,9 +296,17 @@ def integrand(n: int, mu, theta):
     share one evaluation of the cosine product.
     """
     th = np.asarray(theta, dtype=float)
-    vals = np.sin(np.multiply.outer(mu, th)) * (th * cosine_product(n, th))
+    vals = _outer_wave(np.sin, mu, th, th * cosine_product(n, th))
     if vals.ndim == 0:
         return float(vals)
+    return vals
+
+
+def _outer_wave(wave, mu, th: np.ndarray, weight) -> np.ndarray:
+    """wave(mu theta) * weight, in the one buffer of the outer product of mu and theta."""
+    vals = np.asarray(np.multiply.outer(mu, th), dtype=float)
+    wave(vals, out=vals)
+    vals *= weight
     return vals
 
 
@@ -340,7 +358,7 @@ def coeff_by_integral(n: int, m):
     _reconstruction_guard(n)
     mu = d - 2 * ms
     result = integrate_oscillatory(
-        lambda th: np.cos(np.multiply.outer(mu, th)) * cosine_product(n, th),
+        lambda th: _outer_wave(np.cos, mu, th, cosine_product(n, th)),
         0.0,
         math.pi / 2,
         d + float(np.max(np.abs(mu))),

@@ -64,18 +64,23 @@ def _panel_sums(f: Callable, lefts: np.ndarray, h: float) -> tuple[np.ndarray, b
 
     Node by node in a fixed order, so a panel's sum has the same bits in
     any chunk; a BLAS product may round a row by its place in the matrix.
-    The chunk's points and values are freed on return, before the next's.
+    |f| is taken one node at a time into a scratch row, so no full-size
+    copy is made and the values f returned are left as they are. The
+    chunk's points and values are freed on return, before the next's.
     """
     vals = np.asarray(f((lefts + _OFFSETS[:, None] * h).ravel()), dtype=float)
     many = vals.ndim == 2
     vals = vals.reshape(-1, GAUSS_ORDER, len(lefts))
-    sums = []
-    for v in (vals, np.abs(vals)):
-        total = v[:, 0] * _WEIGHTS[0]
-        for node in range(1, GAUSS_ORDER):
-            total += v[:, node] * _WEIGHTS[node]
-        sums.append(total)
-    return np.concatenate(sums), many
+    sums = np.empty((2, len(vals), len(lefts)))
+    term = np.empty_like(sums[0])
+    for total, magnitude in zip(sums, (False, True)):
+        for node in range(GAUSS_ORDER):
+            v = np.abs(vals[:, node], out=term) if magnitude else vals[:, node]
+            if node == 0:
+                np.multiply(v, _WEIGHTS[0], out=total)
+            else:
+                total += np.multiply(v, _WEIGHTS[node], out=term)
+    return sums.reshape(-1, len(lefts)), many
 
 
 def _exact_parts(values: np.ndarray, starts: np.ndarray | None = None,

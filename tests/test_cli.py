@@ -260,39 +260,74 @@ class TestThresholdCertificates:
 
 
 # Runs commands one after another in one process and reports, after each,
-# its exit code, the live threads and whether concurrent.futures was imported.
+# its exit code, the threads it started, the threads alive and the modules
+# it added to sys.modules. A second argument pins the CPUs the process
+# reports to that count.
 THREAD_PROBE = """
-import json, sys, threading
+import json, os, sys, threading
+if len(sys.argv) > 2:
+    os.sched_getaffinity = lambda pid: set(range(int(sys.argv[2])))
 from qunimodal.cli import main
+started = []
+plain_start = threading.Thread.start
+def start(self):
+    started.append(self.name)
+    plain_start(self)
+threading.Thread.start = start
 seen = []
 for argv in json.loads(sys.argv[1]):
+    before, modules = len(started), set(sys.modules)
     code = main(argv)
-    seen.append([code, threading.active_count(), "concurrent.futures" in sys.modules])
+    seen.append([code, started[before:], [t.name for t in threading.enumerate()],
+                 sorted(set(sys.modules) - modules)])
 print(json.dumps(seen))
 """
+
+LOBE_COMMAND = ["certify", "--n", "168", "--i2-n", "168", "--i2-mu", "301", "--report", "lobe.json"]
+
+
+def run_probe(commands, cwd, cpus=None):
+    extra = [] if cpus is None else [str(cpus)]
+    proc = subprocess.run([sys.executable, "-c", THREAD_PROBE, json.dumps(commands), *extra],
+                          cwd=cwd, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(seen) == len(commands)
+    return seen
 
 
 class TestProcessEntry:
     def test_only_the_threshold_lobe_starts_a_thread(self, tmp_path):
         # Only the rotated cosine product (n >= 16) of more than one slice
-        # shares its slices with a helper thread, and only on two or more CPUs.
+        # shares its slices with a helper thread, and only on two or more
+        # CPUs; the helper ends with its call.
         commands = [
             ["integral", "--sign-accord", "--report", "sign.json"],
             ["integral", "--n", "8", "--report", "integral.json"],
             ["trig", "--samples", "50", "--report", "trig.json"],
             ["verify", "--n-max", "20", "--report", "verify.json"],
             ["expand", "--n", "20", "--out", "rows.txt"],
-            ["certify", "--n", "168", "--i2-n", "168", "--i2-mu", "301", "--report", "lobe.json"],
+            LOBE_COMMAND,
         ]
-        proc = subprocess.run([sys.executable, "-c", THREAD_PROBE, json.dumps(commands)],
-                              cwd=tmp_path, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        seen = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert len(seen) == len(commands)
-        for argv, (_, threads, futures) in zip(commands, seen[:-1]):
-            assert (threads, futures) == (1, False), argv
+        seen = run_probe(commands, tmp_path)
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert seen[-1] == ([0, 2, True] if cpus > 1 else [0, 1, False])
+        for argv, (_, started, alive, _) in zip(commands, seen):
+            assert alive == ["MainThread"], argv
+            if argv is LOBE_COMMAND and cpus > 1:
+                assert started and set(started) == {"cosine_product"}
+            else:
+                assert started == [], argv
+        assert seen[-1][0] == 0
+        added = {name for *_, modules in seen for name in modules}
+        assert not added & {"concurrent.futures", "logging"}
+
+    def test_the_lobe_after_a_sweep_imports_nothing(self, tmp_path):
+        # The helper thread is a plain threading.Thread, so on two CPUs the
+        # lobe command loads no module that a sweep did not load before it.
+        commands = [["sweep-f", "--report", "sweep.json"], LOBE_COMMAND]
+        _, (code, started, _, added) = run_probe(commands, tmp_path, cpus=2)
+        assert code == 0 and started
+        assert added == []
 
     def test_module_invocation(self):
         proc = subprocess.run(

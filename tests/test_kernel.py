@@ -96,8 +96,21 @@ def _pin_cpus(monkeypatch, count: int) -> None:
     monkeypatch.setattr(os, "cpu_count", lambda: count)
 
 
-def _no_helper():
-    raise AssertionError("a serial call asked for the helper thread")
+def _count_thread_starts(monkeypatch) -> list[str]:
+    """The names of the threads started from here on, each still started."""
+    started: list[str] = []
+    plain = threading.Thread.start
+
+    def start(self):
+        started.append(self.name)
+        plain(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+def _no_thread_start(self):
+    raise AssertionError(f"a serial call started thread {self.name}")
 
 
 class TestBlockedCosineProduct:
@@ -120,7 +133,13 @@ class TestBlockedCosineProduct:
         rng = np.random.default_rng(7)
         for size in (1, _COSINE_SLICE, 2 * _COSINE_SLICE, 3 * _COSINE_SLICE, 33 * _COSINE_SLICE + 37):
             thetas = rng.uniform(0.0, math.pi / 2, size)
-            got = cosine_product(n, thetas)
+            with monkeypatch.context() as m:
+                _pin_cpus(m, 2)
+                started = _count_thread_starts(m)
+                got = cosine_product(n, thetas)
+            shared = n >= analytic._COSINE_BLOCK and size > _COSINE_SLICE
+            assert started == (["cosine_product"] if shared else []), size
+            assert "cosine_product" not in {t.name for t in threading.enumerate()}
             if size <= 3 * _COSINE_SLICE and n < 512:
                 picks = range(size)
             else:  # each slice's ends and every 97th angle: one call each
@@ -129,7 +148,7 @@ class TestBlockedCosineProduct:
             assert [got[i] for i in picks] == [float(cosine_product(n, thetas[i])) for i in picks]
             with monkeypatch.context() as m:
                 _pin_cpus(m, 1)
-                m.setattr(analytic, "_helper", _no_helper)
+                m.setattr(threading.Thread, "start", _no_thread_start)
                 assert cosine_product(n, thetas).tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("failing_slice", [0, 3, 7])
@@ -154,7 +173,7 @@ class TestBlockedCosineProduct:
         assert cosine_product(168, thetas).tobytes() == serial.tobytes()
 
     def test_concurrent_callers_take_each_slice_once(self, monkeypatch):
-        # Four callers share the one helper under a short switch interval:
+        # Four callers, each with its own helper, under a short switch interval:
         # a slice start handed out twice, or never, would change a value.
         rng = np.random.default_rng(9)
         inputs = [rng.uniform(0.0, math.pi / 2, 9 * _COSINE_SLICE + 5) for _ in range(4)]
@@ -256,6 +275,38 @@ class TestRowQuadrature:
                 total += value * weight
             panel_sums.append(total)
         assert result.value == math.fsum(panel_sums) * (h / 2.0)
+
+
+class TestInPlaceKernel:
+    """The kernel is built in its outer-product buffer, the panel sums beside it."""
+
+    @pytest.mark.parametrize("n", [8, 168])
+    @pytest.mark.parametrize("mu", [301, 7.5, [1, 301, 711], np.array([0, 40])])
+    def test_integrand_has_the_bits_of_the_plain_formula(self, n, mu):
+        thetas = np.random.default_rng(n).uniform(0.0, math.pi / 2, 3 * _COSINE_SLICE + 5)
+        for theta in (thetas, thetas[17], float(thetas[17])):
+            th = np.asarray(theta, dtype=float)
+            want = np.sin(np.multiply.outer(mu, th)) * (th * cosine_product(n, th))
+            got = analytic.integrand(n, mu, theta)
+            if np.ndim(want) == 0:
+                assert isinstance(got, float)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("mu", [301, [1, 301, 711]])
+    def test_quadrature_leaves_the_integrand_values_as_returned(self, mu):
+        returned = []
+
+        def kernel(th):
+            vals = analytic.integrand(168, mu, th)
+            returned.append((vals, vals.copy()))
+            return vals
+
+        result = integrate_oscillatory(kernel, 0.0, 0.5, frequency=1016.0 + 711.0)
+        assert result.panels > 64 and len(returned) > 2
+        assert any((vals < 0).any() for vals, _ in returned)
+        for vals, before in returned:
+            assert vals.tobytes() == before.tobytes()
 
 
 class TestLobeCertificates:

@@ -6,7 +6,14 @@
 Each command runs in one fresh ``python3`` per run and side, with that
 side's ``src`` first on ``sys.path``, BLAS threads fixed at 1,
 ``QUNIMODAL_CACHE_DIR`` removed and bytecode cached per side (one untimed
-command per side fills the cache first). The child times ``qunimodal.cli.main(argv)``
+command per side fills the cache first). Before that, each command runs
+once per side cold, as in the first round of ``bench/run.py``: a fresh
+``PYTHONPYCACHEPREFIX`` holds only the bytecode of what importing
+``qunimodal.cli`` loads (compiled by one import-only process, as the
+benchmark's set-up probe does), so every module the command imports
+later, the standard library's too, compiles from source inside it. Its
+``peak_rss_mb`` and ``wall_s`` are reported as ``cold_peak_rss_mb`` and
+``cold_wall_s``, apart from the warm runs. The child times ``qunimodal.cli.main(argv)``
 alone and reads ``resource.getrusage`` after the call: ``wall_s``,
 ``peak_rss_mb`` (``ru_maxrss`` / 1024) and ``ru_minflt``, with the OS
 threads alive after the call (``/proc/self/task``) and the CPUs the
@@ -109,13 +116,21 @@ def _output_digest(argv: list[str], cwd: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_command(root: str, argv: list[str], workdir: str) -> dict:
-    """One fresh process of ``root``'s sources running ``argv`` in ``workdir``."""
+def run_command(root: str, argv: list[str], workdir: str, cold: bool = False) -> dict:
+    """One fresh process of ``root``'s sources running ``argv`` in ``workdir``.
+
+    Bytecode is cached in ``pycache`` beside ``workdir``. ``cold`` first
+    compiles into that empty cache only what importing ``qunimodal.cli``
+    loads, in a process of its own.
+    """
     os.makedirs(workdir)
+    env = {**_env(), "PYTHONPYCACHEPREFIX": os.path.join(os.path.dirname(workdir), "pycache")}
+    if cold:
+        subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); import qunimodal.cli",
+                        os.path.join(root, "src")], cwd=workdir, env=env, check=True)
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, os.path.join(root, "src"), json.dumps(argv)],
-        cwd=workdir, env={**_env(), "PYTHONPYCACHEPREFIX": os.path.join(os.path.dirname(workdir), "pycache")},
-        capture_output=True, text=True, check=True,
+        cwd=workdir, env=env, capture_output=True, text=True, check=True,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     result["digest"] = _output_digest(argv, workdir)
@@ -123,9 +138,10 @@ def run_command(root: str, argv: list[str], workdir: str) -> dict:
     return result
 
 
-def _summary(runs: list[dict]) -> dict:
-    out: dict = {"exit_codes": sorted({r["exit"] for r in runs}),
-                 "threads": sorted({r["threads"] for r in runs}), "cpus": sorted({r["cpus"] for r in runs})}
+def _summary(runs: list[dict], cold: dict) -> dict:
+    out: dict = {"exit_codes": sorted({r["exit"] for r in runs + [cold]}),
+                 "threads": sorted({r["threads"] for r in runs}), "cpus": sorted({r["cpus"] for r in runs}),
+                 "cold_wall_s": round(cold["wall_s"], 4), "cold_peak_rss_mb": round(cold["peak_rss_mb"], 2)}
     for key, digits in (("wall_s", 4), ("peak_rss_mb", 2), ("ru_minflt", 0)):
         values = [round(r[key], digits) for r in runs]
         out[f"{key}_median"] = round(statistics.median(values), digits)
@@ -134,7 +150,15 @@ def _summary(runs: list[dict]) -> dict:
 
 
 def bench_commands(sides: dict[str, str], runs: int, names: list[str], base: str) -> dict:
-    # One untimed command per side first, so every timed run loads bytecode
+    # One cold run per command and side, each beside its own fresh bytecode cache.
+    cold: dict = {}
+    for i, name in enumerate(names):
+        for side in list(sides) if i % 2 == 0 else list(sides)[::-1]:
+            workdir = os.path.join(base, side[0], f"cold-{name}", "run")
+            cold[name, side] = run_command(sides[side], COMMANDS[name], workdir, cold=True)
+            shutil.rmtree(os.path.dirname(workdir))
+            print(f"{name} {side} cold: {cold[name, side]['peak_rss_mb']:.2f} MB", file=sys.stderr)
+    # One untimed command per side next, so every timed run loads bytecode
     # (argparse imports locale lazily: the first process would compile it).
     for side in sides:
         run_command(sides[side], COMMANDS["sweep_f"], os.path.join(base, side[0], "warmup"))
@@ -148,8 +172,9 @@ def bench_commands(sides: dict[str, str], runs: int, names: list[str], base: str
                 print(f"{name} {side} run {i}: {results[name][side][-1]['wall_s']:.4f} s", file=sys.stderr)
     commands = {}
     for name in names:
-        digests = {r["digest"] for side in sides for r in results[name][side]}
-        commands[name] = {"argv": COMMANDS[name], **{side: _summary(results[name][side]) for side in sides},
+        digests = {r["digest"] for side in sides for r in results[name][side] + [cold[name, side]]}
+        commands[name] = {"argv": COMMANDS[name],
+                          **{side: _summary(results[name][side], cold[name, side]) for side in sides},
                           "outputs_identical": len(digests) == 1}
     return commands
 
@@ -239,13 +264,17 @@ def main(argv=None) -> int:
         "method": (
             "each command is one fresh python3 process with the side's src first on sys.path and "
             "OPENBLAS/OMP/MKL_NUM_THREADS=1, run from a working directory of the same path length on "
-            "each side, after one untimed command per side that fills its bytecode cache; "
+            "each side; first one cold run per command and side with its own fresh PYTHONPYCACHEPREFIX "
+            "that one import-only process filled with what importing qunimodal.cli loads "
+            "(cold_wall_s, cold_peak_rss_mb: every module the command imports later compiles from "
+            "source in it, as in the first round of bench/run.py), then "
+            "one untimed command per side that fills its bytecode cache for the warm runs; "
             "wall_s times qunimodal.cli.main(argv) alone, peak_rss_mb is "
             "resource.getrusage(RUSAGE_SELF).ru_maxrss / 1024 and ru_minflt its minor page faults, "
             "threads the OS threads alive (/proc/self/task) and cpus those the process may run on, "
             f"read after the call; {args.runs} runs per side, the sides alternating which runs first; "
-            "medians with all runs listed. outputs_identical compares each run's report `results` "
-            "block (the row file for expand) across all runs of both sides"
+            "medians with all warm runs listed. outputs_identical compares each run's report `results` "
+            "block (the row file for expand) across all runs of both sides, the cold ones too"
         ),
         "commands": commands,
     }
