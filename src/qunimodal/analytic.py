@@ -223,7 +223,7 @@ def cosine_product(n: int, theta):
     each ufunc). The call joins the thread before it returns and re-raises
     its error, so no thread outlives the call, and it imports nothing that
     numpy has not: a ``concurrent.futures`` pool would load 12 more stdlib
-    modules, about 1.4 MB of a process that compiles them (the first
+    modules, about 1.7 MB of a process that compiles them (the first
     round of the ``lobe_ratio`` benchmark). Any other call starts no thread.
     """
     th = np.asarray(theta, dtype=float)

@@ -73,13 +73,12 @@ def _panel_sums(f: Callable, lefts: np.ndarray, h: float) -> tuple[np.ndarray, b
     vals = vals.reshape(-1, GAUSS_ORDER, len(lefts))
     sums = np.empty((2, len(vals), len(lefts)))
     term = np.empty_like(sums[0])
-    for total, magnitude in zip(sums, (False, True)):
-        for node in range(GAUSS_ORDER):
-            v = np.abs(vals[:, node], out=term) if magnitude else vals[:, node]
-            if node == 0:
-                np.multiply(v, _WEIGHTS[0], out=total)
-            else:
-                total += np.multiply(v, _WEIGHTS[node], out=term)
+    signed, magnitude = sums
+    np.multiply(vals[:, 0], _WEIGHTS[0], out=signed)
+    np.multiply(np.abs(vals[:, 0], out=term), _WEIGHTS[0], out=magnitude)
+    for node in range(1, GAUSS_ORDER):
+        signed += np.multiply(vals[:, node], _WEIGHTS[node], out=term)
+        magnitude += np.multiply(np.abs(vals[:, node], out=term), _WEIGHTS[node], out=term)
     return sums.reshape(-1, len(lefts)), many
 
 

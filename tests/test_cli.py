@@ -260,8 +260,9 @@ class TestThresholdCertificates:
 
 
 # Runs commands one after another in one process and reports, after each,
-# its exit code, the threads it started, the threads alive and the modules
-# it added to sys.modules. A second argument pins the CPUs the process
+# its exit code, the threads it started, the threads alive, the modules it
+# added to sys.modules and which of concurrent.futures and logging are
+# loaded at all. A second argument pins the CPUs the process
 # reports to that count.
 THREAD_PROBE = """
 import json, os, sys, threading
@@ -279,7 +280,8 @@ for argv in json.loads(sys.argv[1]):
     before, modules = len(started), set(sys.modules)
     code = main(argv)
     seen.append([code, started[before:], [t.name for t in threading.enumerate()],
-                 sorted(set(sys.modules) - modules)])
+                 sorted(set(sys.modules) - modules),
+                 sorted({"concurrent.futures", "logging"} & set(sys.modules))])
 print(json.dumps(seen))
 """
 
@@ -311,23 +313,23 @@ class TestProcessEntry:
         ]
         seen = run_probe(commands, tmp_path)
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        for argv, (_, started, alive, _) in zip(commands, seen):
+        for argv, (_, started, alive, _, loaded) in zip(commands, seen):
             assert alive == ["MainThread"], argv
+            assert loaded == [], argv
             if argv is LOBE_COMMAND and cpus > 1:
                 assert started and set(started) == {"cosine_product"}
             else:
                 assert started == [], argv
         assert seen[-1][0] == 0
-        added = {name for *_, modules in seen for name in modules}
-        assert not added & {"concurrent.futures", "logging"}
 
     def test_the_lobe_after_a_sweep_imports_nothing(self, tmp_path):
         # The helper thread is a plain threading.Thread, so on two CPUs the
         # lobe command loads no module that a sweep did not load before it.
         commands = [["sweep-f", "--report", "sweep.json"], LOBE_COMMAND]
-        _, (code, started, _, added) = run_probe(commands, tmp_path, cpus=2)
+        sweep, (code, started, _, added, loaded) = run_probe(commands, tmp_path, cpus=2)
         assert code == 0 and started
         assert added == []
+        assert sweep[-1] == loaded == []
 
     def test_module_invocation(self):
         proc = subprocess.run(
