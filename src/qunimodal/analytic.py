@@ -807,12 +807,16 @@ def sweep_identity_residuals(samples: int = 1000, seed: int = 20260822) -> list[
     allocated once, so memory does not grow with ``samples``, and each
     residual has the bits of :func:`trig_identity_residual`. ``argmin``
     and ``detail["worst_n"]`` name the worst draw, the first of a tie.
-    Raises ``ValueError`` for ``samples < 1``: a sweep that draws nothing
-    has no worst residual to certify.
+    The draws are numpy's ``default_rng(seed)`` stream made without
+    ``numpy.random`` (:mod:`qunimodal._draws`), so the results do not
+    depend on how numpy implements ``Generator``. Raises ``ValueError``
+    for a negative seed, and for ``samples < 1``: a sweep that draws
+    nothing has no worst residual to certify.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
+    from ._draws import SeededDraws  # imported here so no other command loads it
+    rng = SeededDraws(seed)
     buffers = np.empty((3, max(_CHUNK_ROWS, IDENTITY_N_CAP // _SINE_BLOCK + 1), _SINE_BLOCK))
     certificates = []
     for identity in IDENTITY_IDS:
@@ -821,8 +825,8 @@ def sweep_identity_residuals(samples: int = 1000, seed: int = 20260822) -> list[
         while drawn < samples:
             block = []
             while len(block) < min(_DRAW_BLOCK, samples - drawn):
-                n = int(rng.integers(1, IDENTITY_N_CAP + 1))
-                x = float(rng.uniform(1e-3, math.pi - 1e-3))
+                n = rng.integers(1, IDENTITY_N_CAP + 1)
+                x = rng.uniform(1e-3, math.pi - 1e-3)
                 try:
                     block.append((n, x, *_denominators(identity, x)))
                 except NearSingular:

@@ -83,7 +83,7 @@ def validate(config: argparse.Namespace) -> None:
     - --n-min has no library rule;
     - the library checks verify --a, --i2-mu, --i2-n and trig --grid-points only
       after the rows, envelope grids, --plot-csv file or identity sweep are done;
-    - numpy's message for a negative --seed names no flag.
+    - the identity sweep's message for a negative --seed names no flag.
     """
     command = config.command
     if command in ("verify", "lemma", "borwein", "almkvist") and not 0 <= config.n_min <= config.n_max:

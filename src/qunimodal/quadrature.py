@@ -15,6 +15,12 @@ panels against the same weights, and the result then carries arrays of
 k values and k error estimates instead of floats. The panel sums of
 each row are added up exactly, so a row's value does not depend on how
 the panels were chunked, and so not on how many other rows came with it.
+
+The rule's constants are the bits numpy 2.4.6's ``leggauss(8)`` returns,
+written out so that no process loads ``numpy.polynomial``. The nodes are
+within an ulp of the roots of P_8. The weights add up to 2, each within
+8e-15 of its true value, relative (the outer pair 58 ulps high), below
+the estimate's rounding floor of 64 eps times the integral of |f|.
 """
 
 from __future__ import annotations
@@ -31,7 +37,13 @@ __all__ = ["GAUSS_ORDER", "QuadratureResult", "integrate_oscillatory"]
 
 GAUSS_ORDER = 8
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+# The positive nodes from the outside in, and their weights.
+_HALF_NODES = [float.fromhex(x) for x in ("0x1.ebab1cb0acc66p-1", "0x1.97e4ab249f41ep-1",
+                                          "0x1.0d129583284b4p-1", "0x1.77ac94f3c7344p-3")]
+_HALF_WEIGHTS = [float.fromhex(w) for w in ("0x1.9ea1d04ca03aep-4", "0x1.c76fb531d2b94p-3",
+                                            "0x1.413c50a25560ep-2", "0x1.736360b19933dp-2")]
+_NODES = np.array([-x for x in _HALF_NODES] + _HALF_NODES[::-1])
+_WEIGHTS = np.array(_HALF_WEIGHTS + _HALF_WEIGHTS[::-1])
 _OFFSETS = (_NODES + 1.0) / 2.0
 
 # Panels are evaluated in chunks of at most this many integrand values

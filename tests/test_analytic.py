@@ -10,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qunimodal import analytic
+from qunimodal import _draws, analytic
+from qunimodal._draws import SeededDraws
 from qunimodal.analytic import (
     GAMMA_THREE_HALVES,
     GAUSSIAN_RATE,
@@ -492,6 +493,42 @@ class TestTrigIdentities:
             assert cert.min_margin == margin
             assert cert.detail == {"max_abs_residual": residual, "worst_n": worst_n,
                                    "seed": 20260822, "n_cap": 10_000}
+
+
+class TestSeededDraws:
+    """The identity sweep's stream is numpy's default_rng(seed) stream, bit for bit."""
+
+    # Seeds above 2^32 give SeedSequence two or more entropy words, above
+    # 2^128 more than its pool of four.
+    @pytest.mark.parametrize("seed", [0, 1, 7, 35, 20260822, 1039885960, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 17])
+    def test_draws_match_numpy(self, seed):
+        want, got = np.random.default_rng(seed), SeededDraws(seed)
+        for _ in range(3000):
+            assert got.integers(1, 10_001) == int(want.integers(1, 10_001))
+            assert got.uniform(1e-3, math.pi - 1e-3) == float(want.uniform(1e-3, math.pi - 1e-3))
+
+    def test_wide_range_takes_the_rejection_loop(self):
+        # Over 2^31 + 1 values Lemire's method redraws about half the time.
+        calls = []
+        want, got = np.random.default_rng(11), SeededDraws(11)
+        next32 = got._next32
+        got._next32 = lambda: calls.append(1) or next32()
+        for _ in range(200):
+            assert got.integers(5, 5 + 2**31 + 1) == int(want.integers(5, 5 + 2**31 + 1))
+            assert got.uniform(0.0, 1.0) == float(want.uniform(0.0, 1.0))
+        assert len(calls) > 250
+
+    def test_negative_seed_raises_before_any_draw(self, monkeypatch):
+        # numpy's SeedSequence refuses a negative seed; the sweep refuses it before it seeds a stream.
+        monkeypatch.setattr(_draws, "_pcg64", lambda seed: pytest.fail("seeded"))
+        with pytest.raises(ValueError):
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError, match="seed"):
+            sweep_identity_residuals(seed=-1)
+        with pytest.raises(ValueError, match="seed"):
+            SeededDraws(-(2**40))
+        with pytest.raises(TypeError):
+            SeededDraws(1.5)
 
 
 class TestTrigInequalities:

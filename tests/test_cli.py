@@ -1,10 +1,12 @@
 """End-to-end command tests: exit codes and report shape."""
 
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -261,9 +263,9 @@ class TestThresholdCertificates:
 
 # Runs commands one after another in one process and reports, after each,
 # its exit code, the threads it started, the threads alive, the modules it
-# added to sys.modules and which of concurrent.futures and logging are
-# loaded at all. A second argument pins the CPUs the process
-# reports to that count.
+# added to sys.modules and which of concurrent.futures, logging,
+# numpy.random and numpy.polynomial are loaded at all. A second argument
+# pins the CPUs the process reports to that count.
 THREAD_PROBE = """
 import json, os, sys, threading
 if len(sys.argv) > 2:
@@ -281,11 +283,20 @@ for argv in json.loads(sys.argv[1]):
     code = main(argv)
     seen.append([code, started[before:], [t.name for t in threading.enumerate()],
                  sorted(set(sys.modules) - modules),
-                 sorted({"concurrent.futures", "logging"} & set(sys.modules))])
+                 sorted({"concurrent.futures", "logging", "numpy.random", "numpy.polynomial"} & set(sys.modules))])
 print(json.dumps(seen))
 """
 
 LOBE_COMMAND = ["certify", "--n", "168", "--i2-n", "168", "--i2-mu", "301", "--report", "lobe.json"]
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def benchmark_commands(outdir):
+    """The argv of every command of both benchmark workloads at seed 23, as bench/workloads.py plans them."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [c["argv"] for w in workloads.WORKLOADS for c in workloads.plan(w, 23, str(outdir))["commands"]]
 
 
 def run_probe(commands, cwd, cpus=None):
@@ -330,6 +341,15 @@ class TestProcessEntry:
         assert code == 0 and started
         assert added == []
         assert sweep[-1] == loaded == []
+
+    def test_no_benchmark_command_loads_numpy_random_or_polynomial(self, tmp_path):
+        # trig draws its seeded stream in Python integers and the Gauss
+        # rule's constants are written out, so no command of either
+        # workload pays the megabytes of numpy.random or numpy.polynomial.
+        commands = benchmark_commands(tmp_path)
+        assert {argv[0] for argv in commands} >= {"expand", "verify", "trig", "integral", "certify"}
+        seen = run_probe(commands, tmp_path)
+        assert [loaded for *_, loaded in seen] == [[]] * len(commands)
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qunimodal import analytic
+from qunimodal import analytic, quadrature
 from qunimodal.analytic import _COSINE_SLICE, cosine_product, i2_ratio_check, lobe_ratio_certificates
 from qunimodal.quadrature import integrate_oscillatory
 
@@ -233,6 +233,30 @@ class TestBlockedCosineProduct:
         for theta, value in zip(thetas, cosine_product(n, thetas)):
             exact, bound = _forward_error_bound(n, theta)
             assert abs(value - exact) <= bound, theta
+
+
+class TestGaussRule:
+    """The rule's written-out constants: where they came from, and that they are right."""
+
+    def test_constants_are_the_bits_of_numpys_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        assert quadrature._NODES.tobytes() == nodes.tobytes()
+        assert quadrature._WEIGHTS.tobytes() == weights.tobytes()
+        assert quadrature._OFFSETS.tobytes() == ((nodes + 1.0) / 2.0).tobytes()
+
+    def test_constants_match_a_50_digit_rule(self):
+        # An oracle apart from numpy: the roots of P_8 and the weights
+        # 2 / ((1 - x^2) P_8'(x)^2). The nodes are within 2 ulps; leggauss
+        # rounds the outer weights 58 ulps high, still a relative error
+        # below the 64 eps of |f| the error estimate adds as its floor.
+        with mpmath.workdps(50):
+            for node, weight in zip(quadrature._NODES.tolist(), quadrature._WEIGHTS.tolist()):
+                root = mpmath.findroot(lambda t: mpmath.legendre(8, t), mpmath.mpf(node))
+                slope = 8 * (root * mpmath.legendre(8, root) - mpmath.legendre(7, root)) / (root ** 2 - 1)
+                true_weight = 2 / ((1 - root ** 2) * slope ** 2)
+                assert abs(node - root) <= 2 * math.ulp(node)
+                assert abs(weight - true_weight) < 64 * EPS * weight
+        assert math.fsum(quadrature._WEIGHTS.tolist()) == 2.0
 
 
 class TestRowQuadrature:

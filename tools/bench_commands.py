@@ -16,8 +16,9 @@ later, the standard library's too, compiles from source inside it. Its
 ``cold_wall_s``, apart from the warm runs. The child times ``qunimodal.cli.main(argv)``
 alone and reads ``resource.getrusage`` after the call: ``wall_s``,
 ``peak_rss_mb`` (``ru_maxrss`` / 1024) and ``ru_minflt``, with the OS
-threads alive after the call (``/proc/self/task``) and the CPUs the
-process may run on. Runs alternate
+threads alive after the call (``/proc/self/task``), the CPUs the
+process may run on, the number of modules in ``sys.modules`` and whether
+``numpy.random`` and ``numpy.polynomial`` are among them. Runs alternate
 which side goes first. Each run works in a fresh directory of the same path
 length on both sides; give checkouts whose paths have equal length too, since
 the path alone can move peak memory by a few tenths of a MB. The ``results``
@@ -93,7 +94,9 @@ except OSError:
     threads = threading.active_count()
 cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 print(json.dumps({"exit": code, "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024,
-                  "ru_minflt": usage.ru_minflt, "threads": threads, "cpus": cpus}))
+                  "ru_minflt": usage.ru_minflt, "threads": threads, "cpus": cpus, "modules": len(sys.modules),
+                  "numpy_random": "numpy.random" in sys.modules,
+                  "numpy_polynomial": "numpy.polynomial" in sys.modules}))
 """
 
 
@@ -141,6 +144,8 @@ def run_command(root: str, argv: list[str], workdir: str, cold: bool = False) ->
 def _summary(runs: list[dict], cold: dict) -> dict:
     out: dict = {"exit_codes": sorted({r["exit"] for r in runs + [cold]}),
                  "threads": sorted({r["threads"] for r in runs}), "cpus": sorted({r["cpus"] for r in runs}),
+                 **{key: sorted({r[key] for r in runs + [cold]})
+                    for key in ("modules", "numpy_random", "numpy_polynomial")},
                  "cold_wall_s": round(cold["wall_s"], 4), "cold_peak_rss_mb": round(cold["peak_rss_mb"], 2)}
     for key, digits in (("wall_s", 4), ("peak_rss_mb", 2), ("ru_minflt", 0)):
         values = [round(r[key], digits) for r in runs]
@@ -271,7 +276,8 @@ def main(argv=None) -> int:
             "one untimed command per side that fills its bytecode cache for the warm runs; "
             "wall_s times qunimodal.cli.main(argv) alone, peak_rss_mb is "
             "resource.getrusage(RUSAGE_SELF).ru_maxrss / 1024 and ru_minflt its minor page faults, "
-            "threads the OS threads alive (/proc/self/task) and cpus those the process may run on, "
+            "threads the OS threads alive (/proc/self/task), cpus those the process may run on, "
+            "modules the count of sys.modules and numpy_random/numpy_polynomial whether those are in it, "
             f"read after the call; {args.runs} runs per side, the sides alternating which runs first; "
             "medians with all warm runs listed. outputs_identical compares each run's report `results` "
             "block (the row file for expand) across all runs of both sides, the cold ones too"
