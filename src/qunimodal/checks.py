@@ -70,13 +70,20 @@ def _steps(p: Polynomial, lo: int, hi: int) -> np.ndarray:
 
     Neighbours are compared digit by digit from the top down, where the
     top digit is signed and the lower ones are not negative; the first
-    digit where they differ decides the pair.
+    digit where they differ decides the pair. Each plane takes four
+    passes into buffers made once: the two compares, their difference as
+    int8, and its copy into the pairs still at zero.
     """
     planes = p.limbs[::-1, lo - 1 : hi + 1]  # the top digit first
-    signs = np.zeros(planes.shape[1] - 1, np.int8)
+    size = planes.shape[1] - 1
+    signs, step = np.zeros(size, np.int8), np.empty(size, np.int8)
+    rise, fall = np.empty(size, bool), np.empty(size, bool)
     for plane in planes:
         a, b = plane[1:], plane[:-1]
-        signs = np.where(signs != 0, signs, (a > b).astype(np.int8) - (a < b))
+        np.greater(a, b, out=rise)
+        np.less(a, b, out=fall)
+        np.subtract(rise.view(np.int8), fall.view(np.int8), out=step)
+        np.copyto(signs, step, where=signs == 0)
     return signs
 
 

@@ -8,9 +8,9 @@ top digit, and L = ceil(bits / 56) when every |a_m| < 2**bits. A factor
 themselves, in place and with no carry; a geometric block of t terms
 takes t - 1 of them. A digit's 7 spare bits hold the sum of 128 settled
 digits, so one carry pass (:func:`_settle`) per row settles it. Factors
-of t_1, t_2, ... terms bound the coefficients by t_1 t_2 ..., so a row's
-``bits`` is the bit length of that product (337 bits, seven digits, for
-the last row of ``main_rows(167)``). No arithmetic builds a row-sized
+of t_1, t_2, ... terms bound the coefficients by t_1 t_2 ... - 1, so a
+row's ``bits`` is the bit length of that bound (336 bits, six digits,
+for the last row of ``main_rows(167)``). No arithmetic builds a row-sized
 Python integer: ``.coeffs`` and :func:`dump_lines` decode through views
 of 7 bytes a digit. A stream grows each row in place in one array shaped
 as its last row (:func:`product_rows`).
@@ -80,6 +80,11 @@ def main_degree(n: int) -> int:
 def _digit_count(bits: int) -> int:
     """Digits of a row whose |a_m| < 2**bits: ceil(bits / 56), at least one."""
     return max(1, -(-bits // _DIGIT))
+
+
+def _bound_bits(product: int) -> int:
+    """Bits of a row whose factors' term counts multiply to ``product``: every |a_m| <= product - 1."""
+    return max(1, (product - 1).bit_length())
 
 
 def _decode(planes: np.ndarray) -> list[int]:
@@ -280,10 +285,12 @@ def product_rows(groups: Iterable[Iterable[tuple[int, ...]]]) -> Iterator[Polyno
     """Yield the running product after each group of factors, as :func:`mul_binomial` takes them.
 
     A factor is (sign, exponent) or (sign, exponent, terms). After factors
-    of t_1, t_2, ... terms every |a_m| <= t_1 t_2 ..., so a row's ``bits``
-    is the bit length of that product. Each row grows in place in one
-    ``home`` array shaped as the last row, (digits, columns), and is
-    yielded settled, as the read-only view ``home[:L, :d + 1]``. Its
+    of t_1, t_2, ... terms the |a_m| sum to at most T = t_1 t_2 ..., and
+    a_0 = 1 and the leading +-1 are two of them once any factor has two
+    terms, so every |a_m| <= T - 1 and a row's ``bits`` is the bit length
+    of T - 1, at least 1 for the empty product [1]. Each row grows in
+    place in one ``home`` array shaped as the last row, (digits, columns),
+    and is yielded settled, as the read-only view ``home[:L, :d + 1]``. Its
     digits sum ``copies`` settled digits; a factor that would take them
     past 128 settles the row first. A group extends it there only while
     ``sys.getrefcount(home)`` is what it was before any view of ``home``
@@ -299,7 +306,7 @@ def product_rows(groups: Iterable[Iterable[tuple[int, ...]]]) -> Iterator[Polyno
     factors = [factor for group in groups for factor in group]
     for factor in factors:
         _check_factor(*factor)
-    bits = prod(terms for _, _, terms in factors).bit_length()
+    bits = _bound_bits(prod(terms for _, _, terms in factors))
     shape = _digit_count(bits), 1 + sum((t - 1) * e for _, e, t in factors)
     home = np.zeros(shape, np.int64)  # columns and digits beyond the row are zero
     free = sys.getrefcount(home)  # read before any view of home holds a reference to it
@@ -316,9 +323,14 @@ def product_rows(groups: Iterable[Iterable[tuple[int, ...]]]) -> Iterator[Polyno
                 copies = 1
             n, copies = width, copies * terms
             bound, width = bound * terms, width + (terms - 1) * exponent
-            count = _digit_count(bound.bit_length())
+            count = _digit_count(_bound_bits(bound))
             _times(home[:count, :width], n, sign, exponent, terms)
-        yield Polynomial._of(_settle(home[:count, :width]), bound.bit_length())
+        yield Polynomial._of(_settle(home[:count, :width]), _bound_bits(bound))
+
+
+def _main_groups(n_max: int, sign: int) -> list[tuple[tuple[int, int], ...]]:
+    """The factors of rows 0..n_max of the main family (sign 1) or its signed variant, a group a row."""
+    return [((sign, 3 * k + 1), (sign, 3 * k + 2)) for k in range(n_max + 1)]
 
 
 def main_rows(n_max: int, sign: int = 1) -> Iterator[Polynomial]:
@@ -326,7 +338,20 @@ def main_rows(n_max: int, sign: int = 1) -> Iterator[Polynomial]:
 
     ``sign=1`` is the main family, ``sign=-1`` its signed variant.
     """
-    return product_rows(((sign, 3 * k + 1), (sign, 3 * k + 2)) for k in range(n_max + 1))
+    return product_rows(_main_groups(n_max, sign))
+
+
+def _family_groups(spec: ProductSpec) -> tuple[list, int | None]:
+    """(one group of factors a row, the n of the first row) of the family ``spec`` names."""
+    if spec.family in ("main", "signed"):
+        return _main_groups(spec.n, -1 if spec.family == "signed" else 1), 0
+    if spec.family == "odd":
+        return [[(1, 2 * k - 1)] if k else [] for k in range(spec.n + 1)], 0
+    if spec.family == "almkvist":
+        return [[(1, k, spec.r)] for k in range(1, spec.n + 1)], 1
+    if spec.family == "general":
+        return [spec.factors], None
+    raise ValueError(f"unknown product family {spec.family!r}")
 
 
 def family_rows(spec: ProductSpec) -> Iterator[tuple[int | None, Polynomial]]:
@@ -338,22 +363,11 @@ def family_rows(spec: ProductSpec) -> Iterator[tuple[int | None, Polynomial]]:
     before asking for the next (as :func:`checked_rows` does) lets the next
     grow in place, in the array that held it.
     """
-    if spec.family in ("main", "signed"):
-        rows, n = main_rows(spec.n, -1 if spec.family == "signed" else 1), 0
-    elif spec.family == "odd":
-        rows, n = product_rows([(1, 2 * k - 1)] if k else [] for k in range(spec.n + 1)), 0
-    elif spec.family == "almkvist":
-        rows, n = product_rows([(1, k, spec.r)] for k in range(1, spec.n + 1)), 1
-    elif spec.family == "general":
-        (p,) = product_rows([spec.factors])
-        yield None, p
-        return
-    else:
-        raise ValueError(f"unknown product family {spec.family!r}")
-    for p in rows:
+    groups, n = _family_groups(spec)
+    for p in product_rows(groups):
         yield n, p
         del p
-        n += 1
+        n = None if n is None else n + 1
 
 
 def checked_rows(spec: ProductSpec, check: Callable, n_min: int = 0) -> Iterator:
@@ -372,12 +386,11 @@ def checked_rows(spec: ProductSpec, check: Callable, n_min: int = 0) -> Iterator
 def build_product(spec: ProductSpec) -> Polynomial:
     """Expand the product described by ``spec``: the last row of :func:`family_rows`.
 
-    Each earlier row is dropped before the stream builds the next.
+    All of the family's factors make one group, so the row is settled
+    only where a factor would put more than 128 copies in a digit.
     """
-    for n, p in family_rows(spec):
-        if n == spec.n:
-            break
-        del p
+    groups, _ = _family_groups(spec)
+    (p,) = product_rows([[factor for group in groups for factor in group]])
     assert spec.family != "main" or p.degree == main_degree(spec.n)
     assert spec.family != "almkvist" or p.degree == (spec.r - 1) * spec.n * (spec.n + 1) // 2
     return p

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import oracles
 from qunimodal import cli, polynomials
 from qunimodal.checks import (
+    _steps,
     check_almost_unimodal,
     check_lemma_range,
     check_sign_pattern,
@@ -35,6 +36,7 @@ from qunimodal.polynomials import (
     Polynomial,
     ProductSpec,
     build_product,
+    checked_rows,
     coeff,
     divide_exact,
     dump_lines,
@@ -191,6 +193,38 @@ class TestChecksOnPackedRows:
         pattern = [sign, -sign]
         assert check_sign_pattern(p, pattern).to_json_dict() == want_sign_pattern(cs, pattern)
 
+    @given(
+        st.sampled_from([1, -1]),
+        st.integers(2, 2**20),
+        st.integers(2, 4),
+        st.lists(st.lists(st.sampled_from([0, 1, 2, 2**56 - 1]), min_size=3, max_size=3), min_size=2, max_size=30),
+        st.data(),
+    )
+    def test_steps_of_neighbours_tied_in_their_top_digits(self, sign, top, count, lows, data):
+        # Every entry shares its top digit; the digits below are drawn from
+        # a few values, so pairs also tie in middle digits and are decided lower.
+        cs = [sign * top * 2 ** (56 * (count - 1)) + sum(d << (56 * k) for k, d in enumerate(low[: count - 1]))
+              for low in lows]
+        p = Polynomial(cs)
+        assert len(p.limbs) == count and len(set(p.limbs[-1].tolist())) == 1
+        want = [(a > b) - (a < b) for b, a in zip(p.coeffs, p.coeffs[1:])]
+        steps = _steps(p, 1, p.degree)
+        assert steps.dtype == np.int8 and steps.tolist() == want
+        lo = data.draw(st.integers(1, p.degree))
+        hi = data.draw(st.integers(lo, p.degree))
+        assert _steps(p, lo, hi).tolist() == want[lo - 1 : hi]
+
+    def test_steps_of_chain_rows(self):
+        # Rows 7, 27, ..., 167: one digit up to six.
+        def check(n, p):
+            if n % 20 != 7:
+                return None
+            cs = p.coeffs
+            return _steps(p, 1, p.degree).tolist() == [(a > b) - (a < b) for b, a in zip(cs, cs[1:])]
+
+        checked = [ok for ok in checked_rows(ProductSpec.main(167), check) if ok is not None]
+        assert checked == [True] * 9
+
     @given(st.lists(entries, min_size=1, max_size=30), st.sampled_from([1, 3]), patterns)
     def test_reports_do_not_depend_on_the_limb_layout(self, cs, extra, pattern):
         # The same row in more digits than it needs, its bound at the top
@@ -223,7 +257,7 @@ class TestChecksOnPackedRows:
         limbs = p.limbs.copy()
         limbs[:, m] = limbs_by_hand([cs[m]], len(limbs))[:, 0]
         moved = Polynomial._of(limbs, p.bits)
-        assert (p.bits, len(limbs)) == (123, 3) and len(Polynomial(cs).limbs) == 2
+        assert (p.bits, len(limbs)) == (122, 3) and len(Polynomial(cs).limbs) == 2
         for q in (moved, Polynomial(cs)):
             assert check_symmetric(q).to_json_dict() == want_symmetric(cs)
             assert check_unimodal(q).to_json_dict() == want_unimodal(cs)
@@ -250,20 +284,21 @@ signed_factors = st.lists(
 
 class TestSlotWidth:
     @given(signed_factors)
-    def test_slot_stays_above_f_plus_one_bits(self, factors):
+    def test_slot_stays_at_or_above_f_bits(self, factors):
         rows = list(product_rows([f] for f in factors))
         for f, p in enumerate(rows, start=1):
-            assert p.bits == f + 1  # the bit length of 2**f
+            assert p.bits == f  # the bit length of 2**f - 1
             # a negative coefficient, seen in the top digit, only after a negative factor
             assert not (p.limbs[-1] < 0).any() or any(sign < 0 for sign, _ in factors[:f])
             assert 56 * len(p.limbs) >= p.bits > 56 * (len(p.limbs) - 1)
             assert_planes(p, oracles.naive_product(factors[:f]))
 
-    def test_main_rows_167_use_392_bit_slots(self):
-        # Row n has 2(n+1) binomials: 2n + 3 bits, one more digit every 28 rows.
-        counts = [len(p.limbs) for p in main_rows(167)]
-        assert counts == [(2 * n + 3 + 55) // 56 for n in range(168)]
-        assert counts[-1] * 56 == 392
+    def test_main_rows_167_use_336_bit_slots(self):
+        # Row n has 2(n+1) binomials: |a_m| <= 2**(2n+2) - 1, so 2n + 2 bits,
+        # one more digit every 28 rows.
+        rows = [(p.bits, len(p.limbs)) for p in main_rows(167)]
+        assert rows == [(2 * n + 2, (2 * n + 2 + 55) // 56) for n in range(168)]
+        assert rows[-1] == (336, 6)
 
     def test_a_list_row_grows_its_slots_when_a_factor_needs_them(self):
         factors = [(1, 1)] * 70 + [(-1, 2)] * 3
@@ -274,6 +309,23 @@ class TestSlotWidth:
             assert len(p.limbs) == (1 if f < 56 else 2)
         assert p.bits == 74 and (p.limbs[-1] < 0).any()
         assert_planes(p, oracles.naive_product(factors))
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.lists(st.one_of(st.tuples(st.sampled_from([1, -1]), st.integers(1, 3)),
+                              st.tuples(st.sampled_from([1, -1]), st.integers(1, 3), st.integers(1, 130))),
+                    min_size=1, max_size=5).filter(lambda fs: any((*f, 2)[2] >= 2 for f in fs)))
+    def test_bits_follow_the_largest_coefficient(self, factors):
+        # Once a factor has two terms, a_0 = 1 and the leading +-1 are two
+        # of the |a_m| that sum to at most the product T of the term
+        # counts, so every |a_m| <= T - 1.
+        want, bound = [1], 1
+        for (sign, exponent, terms), p in zip(((*f, 2)[:3] for f in factors), product_rows([f] for f in factors)):
+            want, bound = shifted_sum(want, sign, exponent, terms), bound * terms
+            assert max(map(abs, want)) <= max(1, bound - 1)
+            bits = max(1, (bound - 1).bit_length())
+            assert (p.bits, len(p.limbs)) == (bits, max(1, -(-bits // 56)))
+            assert_planes(p, want)
+        assert max(map(abs, want)) <= bound - 1
 
 
 class TestTightBound:
@@ -299,6 +351,22 @@ class TestTightBound:
 # --- the rows end to end ----------------------------------------------------
 
 class TestRowsEndToEnd:
+    @pytest.mark.parametrize("spec", [
+        ProductSpec.main(167),
+        ProductSpec.signed(150),
+        ProductSpec.odd(60),
+        ProductSpec.almkvist(3, 40),
+        ProductSpec.almkvist(130, 12),  # factors of more than 128 terms
+        ProductSpec.general([(1, 1), (-1, 2), (1, 3), (1, 1), (-1, 5), (1, 4), (-1, 1)]),
+    ], ids=["main", "signed", "odd", "almkvist3", "almkvist130", "general"])
+    def test_build_product_is_the_last_streamed_row(self, spec):
+        # One group of every factor against a settle per row: the same planes.
+        for _, last in family_rows(spec):
+            pass
+        p = build_product(spec)
+        assert (p.bits, p.limbs.shape) == (last.bits, last.limbs.shape)
+        assert np.array_equal(p.limbs, last.limbs)
+
     def test_family_rows_before_and_after_decoding(self):
         streams = {
             "main": (family_rows(ProductSpec.main(10)), oracles.main_factors),
@@ -404,7 +472,7 @@ class TestGeometricBlocks:
         for f, p in zip(full, rows):
             want, bound = oracles.convolve(want, block(*f)), bound * f[2]
             assert p._coeffs is None  # the stream never decodes a row
-            assert p.bits == bound.bit_length()
+            assert p.bits == max(1, (bound - 1).bit_length())
             assert_planes(p, want)
             assert list(p.coeffs) == want
 
@@ -533,16 +601,18 @@ class TestHeldRows:
             for p in rows():
                 if stream == "almkvist":
                     _, p = p
-                nbytes = p.limbs.nbytes
+                planes, nbytes = len(p.limbs), p.limbs.nbytes
                 del p
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * nbytes
+        if stream == "main":  # six digits of 84,673 columns: 3.9 MiB
+            assert planes == 6 and peak < 4.4 * 2**20
 
     @pytest.mark.parametrize("stream, grows_at", [
-        ("main", [27, 55]),
-        ("signed", [27, 55]),
+        ("main", [28, 56]),
+        ("signed", [28, 56]),
         ("almkvist", [25, 49]),
     ], ids=["main", "signed", "almkvist"])
     def test_rows_where_the_limbs_grow_equal_the_oracle(self, stream, grows_at):
@@ -690,13 +760,13 @@ class TestDigitEdges:
 
     def test_a_negative_top_digit_grows_a_digit(self):
         # (1 - q)**f keeps its negative coefficients in its one digit
-        # through f = 55; the 56th factor carries them into a second.
-        rows, want = list(product_rows([(-1, 1)] for _ in range(57))), [1]
+        # through f = 56; the 57th factor carries them into a second.
+        rows, want = list(product_rows([(-1, 1)] for _ in range(58))), [1]
         for p in rows:
             want = oracles.convolve(want, [1, -1])
             assert_planes(p, want)
-        assert [len(p.limbs) for p in rows[53:57]] == [1, 1, 2, 2]
-        assert (rows[54].limbs[0] < 0).any()
+        assert [len(p.limbs) for p in rows[54:58]] == [1, 1, 2, 2]
+        assert (rows[55].limbs[0] < 0).any()
         cs = [-(2**56) + 1, 2**56 - 1, -3]  # one digit, the first at its floor
         p = Polynomial(cs)
         assert len(p.limbs) == 1
@@ -728,7 +798,7 @@ class TestPlaneReads:
         assert p._coeffs is None
 
     def test_equal_rows_in_different_layouts(self):
-        # Row 31 carries a 65-bit bound (two digits); its coefficients fit one.
+        # Row 31 carries a 64-bit bound (two digits); its coefficients fit one.
         *_, row = main_rows(31)
         plain = Polynomial(row.coeffs)
         assert (len(row.limbs), len(plain.limbs)) == (2, 1)
