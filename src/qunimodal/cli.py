@@ -64,11 +64,11 @@ from .checks import (
     replay_induction,
 )
 from .errors import GridTooCoarse, NearSingular, SingularPoint
-from .polynomials import ProductSpec, _dump_blocks, build_product, checked_rows
+from .polynomials import ProductSpec, checked_rows, dump_product
 
 # Unused here, but bench/tracing.py wraps these names in this module; keep them bound.
 from .analytic import i2_ratio_check  # noqa: F401
-from .polynomials import mul_binomial, recurrence_step  # noqa: F401
+from .polynomials import build_product, mul_binomial, recurrence_step  # noqa: F401
 
 __all__ = ["build_parser", "main", "run", "validate"]
 
@@ -162,9 +162,9 @@ def _product_spec(config: argparse.Namespace, n: int) -> ProductSpec:
 
 
 def _cmd_expand(config: argparse.Namespace):
-    p = build_product(_product_spec(config, config.n))
+    blocks = dump_product(_product_spec(config, config.n))
     with _sink(config.out) as fh:
-        fh.writelines(_dump_blocks(p))
+        fh.writelines(blocks)
 
 
 def _cmd_verify(config: argparse.Namespace):

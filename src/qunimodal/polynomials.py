@@ -13,7 +13,16 @@ row's ``bits`` is the bit length of that bound (336 bits, six digits,
 for the last row of ``main_rows(167)``). No arithmetic builds a row-sized
 Python integer: ``.coeffs`` and :func:`dump_lines` decode through views
 of 7 bytes a digit. A stream grows each row in place in one array shaped
-as its last row (:func:`product_rows`).
+as its last row (:func:`product_rows`); with a column cap it keeps only
+the first ``cap`` columns and is exact modulo q**cap, since no column
+reads a higher one.
+
+Every factor sum_{j<t} (s q**e)**j is palindromic up to the sign
+s**(t-1), so a product of degree d has a_{d-m} = sigma a_m with sigma the
+product of those signs: +1 for every family but a ``general`` list with
+an odd number of minus signs. :func:`dump_product` (the ``expand``
+command) builds a row modulo q**(d//2 + 1) and writes the rest as that
+mirror; :func:`build_product` and every check take rows built in full.
 
 :func:`family_rows` streams the rows of each product family, and
 :func:`build_product` is its last row:
@@ -51,6 +60,7 @@ __all__ = [
     "coeff",
     "divide_exact",
     "dump_lines",
+    "dump_product",
     "evaluate_at_minus_one",
     "evaluate_at_one",
     "family_rows",
@@ -95,7 +105,8 @@ def _decode(planes: np.ndarray) -> list[int]:
     digits = np.ndarray((count, n), "<i8", raw, strides=(7, width))
     for k in range(count):  # upwards: each digit's first byte covers the zero top byte of the one below
         digits[k] = planes[k]
-    return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
+    view = memoryview(raw)  # slices of a view copy no bytes
+    return [int.from_bytes(view[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
 
 
 class Polynomial:
@@ -243,18 +254,25 @@ def _times(out: np.ndarray, n: int, sign: int, exponent: int, terms: int) -> np.
     carries, so each digit sums ``terms`` times the copies it held.
     Columns go from the top down in blocks, each copied to a scratch
     array before a term writes over it and then added at each term's
-    shift, or subtracted. A factor of more than 128 terms settles each
-    term's destination as it goes.
+    shift, or subtracted. The part of a shifted copy that falls past the
+    last column of ``out`` is dropped, so a narrower ``out`` holds the
+    product modulo q**width. A factor of more than 128 terms settles
+    each term's destination as it goes.
     """
-    block = min(-(-n // len(out)), _BLOCK)
+    top = min(n, out.shape[1] - exponent)  # the columns whose copies land in out
+    if top < 1:
+        return out
+    block = min(-(-top // len(out)), _BLOCK)
     scratch = np.empty((len(out), block), np.int64)
-    for stop in range(n, 0, -block):
+    for stop in range(top, 0, -block):
         start = max(stop - block, 0)
         src = scratch[:, : stop - start]
         np.copyto(src, out[:, start:stop])
         for j in range(1, terms):
             dest = out[:, start + j * exponent : stop + j * exponent]
-            for digit, copy in zip(dest, src):
+            if not dest.size:  # this term's copy, and every later one, lies past the last column
+                break
+            for digit, copy in zip(dest, src[:, : dest.shape[1]]):
                 (np.subtract if sign**j < 0 else np.add)(digit, copy, out=digit)
             if terms > _COPIES:
                 _settle(dest)
@@ -281,7 +299,7 @@ def mul_binomial(p: Polynomial, sign: int, exponent: int, terms: int = 2) -> Pol
     return Polynomial._of(_settle(_times(out, p.degree + 1, sign, exponent, terms)), bits)
 
 
-def product_rows(groups: Iterable[Iterable[tuple[int, ...]]]) -> Iterator[Polynomial]:
+def product_rows(groups: Iterable[Iterable[tuple[int, ...]]], cap: int | None = None) -> Iterator[Polynomial]:
     """Yield the running product after each group of factors, as :func:`mul_binomial` takes them.
 
     A factor is (sign, exponent) or (sign, exponent, terms). After factors
@@ -299,15 +317,28 @@ def product_rows(groups: Iterable[Iterable[tuple[int, ...]]]) -> Iterator[Polyno
     and what it holds stays valid (it keeps its whole ``home`` alive). An
     empty group yields the product so far unchanged.
 
+    With a ``cap``, ``home`` keeps only the first ``cap`` columns: each
+    row's width is clipped there and a factor drops what its shifted
+    copies put past them. Column m of a product depends only on columns
+    0..m of its factors, and a carry moves up a column's digits, never
+    across columns, so a row is exact modulo q**cap: its planes are the
+    first ``cap`` columns of the full row's, digit for digit, and its
+    ``degree`` is at most ``cap - 1``.
+
     >>> [p.coeffs for p in product_rows([[(1, 1)], [], [(-1, 2)]])]
     [(1, 1), (1, 1), (1, 1, -1, -1)]
+    >>> [p.coeffs for p in product_rows([[(1, 1)], [], [(-1, 2)]], cap=3)]
+    [(1, 1), (1, 1), (1, 1, -1)]
     """
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     groups = [[(*factor, 2)[:3] for factor in group] for group in groups]
     factors = [factor for group in groups for factor in group]
     for factor in factors:
         _check_factor(*factor)
     bits = _bound_bits(prod(terms for _, _, terms in factors))
-    shape = _digit_count(bits), 1 + sum((t - 1) * e for _, e, t in factors)
+    columns = 1 + sum((t - 1) * e for _, e, t in factors)
+    shape = _digit_count(bits), columns if cap is None else min(columns, cap)
     home = np.zeros(shape, np.int64)  # columns and digits beyond the row are zero
     free = sys.getrefcount(home)  # read before any view of home holds a reference to it
     home[0, 0], count, width, bound = 1, 1, 1, 1
@@ -322,7 +353,7 @@ def product_rows(groups: Iterable[Iterable[tuple[int, ...]]]) -> Iterator[Polyno
                 _settle(home[:count, :width])
                 copies = 1
             n, copies = width, copies * terms
-            bound, width = bound * terms, width + (terms - 1) * exponent
+            bound, width = bound * terms, min(width + (terms - 1) * exponent, shape[1])
             count = _digit_count(_bound_bits(bound))
             _times(home[:count, :width], n, sign, exponent, terms)
         yield Polynomial._of(_settle(home[:count, :width]), _bound_bits(bound))
@@ -383,14 +414,19 @@ def checked_rows(spec: ProductSpec, check: Callable, n_min: int = 0) -> Iterator
         del p
 
 
+def _spec_factors(spec: ProductSpec) -> list[tuple[int, int, int]]:
+    """Every (sign, exponent, terms) factor of the last row of the family ``spec`` names."""
+    groups, _ = _family_groups(spec)
+    return [(*factor, 2)[:3] for group in groups for factor in group]
+
+
 def build_product(spec: ProductSpec) -> Polynomial:
     """Expand the product described by ``spec``: the last row of :func:`family_rows`.
 
     All of the family's factors make one group, so the row is settled
     only where a factor would put more than 128 copies in a digit.
     """
-    groups, _ = _family_groups(spec)
-    (p,) = product_rows([[factor for group in groups for factor in group]])
+    (p,) = product_rows([_spec_factors(spec)])
     assert spec.family != "main" or p.degree == main_degree(spec.n)
     assert spec.family != "almkvist" or p.degree == (spec.r - 1) * spec.n * (spec.n + 1) // 2
     return p
@@ -472,17 +508,46 @@ def evaluate_at_minus_one(p: Polynomial) -> int:
     return sum(p.coeffs[0::2]) - sum(p.coeffs[1::2])
 
 
-def _dump_blocks(p: Polynomial) -> Iterator[str]:
-    """The text of :func:`dump_lines`, one string per block of coefficients decoded together."""
-    for start in range(0, p.degree + 1, _DUMP_BLOCK):
-        cs = _decode(p.limbs[:, start : start + _DUMP_BLOCK])
-        yield "".join(map("{},{}\n".format, range(start, start + len(cs)), cs))
+def _lines(start: int, cs: Sequence[int]) -> str:
+    """The ``m,<decimal>`` lines of coefficients ``cs``, the first at m = ``start``, as one string."""
+    return "".join(map("{},{}\n".format, range(start, start + len(cs)), cs))
 
 
 def dump_lines(p: Polynomial) -> Iterator[str]:
     """Serialize as ``m,<decimal>`` lines, ascending m, no header; decoded a block at a time."""
-    for text in _dump_blocks(p):
-        yield from text.splitlines()
+    for start in range(0, p.degree + 1, _DUMP_BLOCK):
+        yield from _lines(start, _decode(p.limbs[:, start : start + _DUMP_BLOCK])).splitlines()
+
+
+def dump_product(spec: ProductSpec) -> Iterator[str]:
+    """The text of ``dump_lines(build_product(spec))``, one string per block, from the row's lower half.
+
+    The row of degree d is built modulo q**(d//2 + 1) (:func:`product_rows`
+    with a cap) and a_{d-m} = sigma a_m gives the rest: each factor
+    sum_{j<t} (s q**e)**j has the coefficient s**j at je and s**(t-1-j) =
+    s**(t-1) s**j at (t-1-j)e, so it is palindromic up to s**(t-1), and
+    sigma is the product of those signs (-1 only for a ``general`` list
+    with an odd number of minus signs). Blocks of 1,024 columns below the
+    cap come first, then the mirrored blocks, each decoded from its mirror
+    columns and reversed. The row is built before this returns; the text
+    is decoded as it is read.
+    """
+    factors = _spec_factors(spec)
+    degree = sum((t - 1) * e for _, e, t in factors)
+    sigma = prod(s ** (t - 1) for s, _, t in factors)
+    (half,) = product_rows([factors], degree // 2 + 1)
+    return _mirrored_blocks(half.limbs, degree, sigma)
+
+
+def _mirrored_blocks(planes: np.ndarray, degree: int, sigma: int) -> Iterator[str]:
+    """The lines m = 0..degree of a row whose columns past ``planes`` are sigma times their mirror."""
+    cap = planes.shape[1]
+    for start in range(0, cap, _DUMP_BLOCK):
+        yield _lines(start, _decode(planes[:, start : start + _DUMP_BLOCK]))
+    for start in range(cap, degree + 1, _DUMP_BLOCK):
+        stop = min(start + _DUMP_BLOCK, degree + 1)
+        cs = _decode(planes[:, degree + 1 - stop : degree + 1 - start])[::-1]
+        yield _lines(start, cs if sigma > 0 else [-c for c in cs])
 
 
 def parse_dump(lines: Iterable[str]) -> Polynomial:

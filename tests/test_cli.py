@@ -12,6 +12,7 @@ import pytest
 
 from qunimodal import cli
 from qunimodal.cli import main
+from qunimodal.polynomials import ProductSpec, build_product, dump_lines
 
 
 def run_cli(args, capsys):
@@ -45,6 +46,20 @@ class TestExpand:
         )
         assert code == 0
         assert out.read_text().splitlines()[0] == "0,1"
+
+    @pytest.mark.parametrize("args, spec", [
+        (["--n", "40"], ProductSpec.main(40)),
+        (["--family", "odd", "--n", "33"], ProductSpec.odd(33)),
+        (["--family", "almkvist", "--r", "5", "--n", "17"], ProductSpec.almkvist(5, 17)),
+        (["--family", "general", "--factors", "+1,+2,-5,+7,+9"],
+         ProductSpec.general([(1, 1), (1, 2), (-1, 5), (1, 7), (1, 9)])),
+    ], ids=["main", "odd", "almkvist", "general"])
+    def test_row_file_is_the_full_dump(self, args, spec, tmp_path, capsys):
+        # expand writes the mirrored lower half; the file is the full row's dump.
+        out = tmp_path / "row.csv"
+        code, _, _ = run_cli(["expand", *args, "--out", str(out)], capsys)
+        assert code == 0
+        assert out.read_text() == "".join(f"{line}\n" for line in dump_lines(build_product(spec)))
 
     def test_missing_n(self, capsys):
         code, _, err = run_cli(["expand", "--family", "main"], capsys)

@@ -10,16 +10,19 @@ tie in their top digit, on a row-60 chain row with one coefficient
 moved, and on the CLI's own output. The planes themselves are held to
 digits cut from the oracle's integers by hand, and the carries and
 borrows to entries at the digit edges, through single factors, chains,
-streams and a factor of more than 128 terms.
+streams and a factor of more than 128 terms. Rows built under a column
+cap are held to the first columns of the full rows, and the dump
+written from a row's lower half and its mirror to the full row's dump.
 """
 
 import json
+import random
 import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -40,6 +43,7 @@ from qunimodal.polynomials import (
     coeff,
     divide_exact,
     dump_lines,
+    dump_product,
     family_rows,
     main_rows,
     mul_binomial,
@@ -610,6 +614,17 @@ class TestHeldRows:
         if stream == "main":  # six digits of 84,673 columns: 3.9 MiB
             assert planes == 6 and peak < 4.4 * 2**20
 
+    def test_the_dump_holds_half_a_row(self):
+        # Six digits of the 42,337 columns below the cap: 1.9 MiB; the
+        # whole row and its dump (build_product, dump_lines) peak at 4.4 MiB.
+        tracemalloc.start()
+        try:
+            lines = sum(text.count("\n") for text in dump_product(ProductSpec.main(167)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lines == 84673 and peak < 2.6 * 2**20
+
     @pytest.mark.parametrize("stream, grows_at", [
         ("main", [28, 56]),
         ("signed", [28, 56]),
@@ -821,3 +836,85 @@ class TestPlaneReads:
         assert (len(cs), len(p.limbs), min(cs) < 0) == (5044, 2, True)
         assert list(dump_lines(p)) == [f"{m},{c}" for m, c in enumerate(cs)]
         assert p._coeffs is None
+
+
+# --- the lower half of a row and its mirror ---------------------------------
+
+def _general_lists(count):
+    rng = random.Random(29)
+    return [[(rng.choice([1, -1]), rng.randint(1, 40)) for _ in range(rng.randint(1, 14))] for _ in range(count)]
+
+
+MIRROR_SPECS = [
+    *(ProductSpec.main(n) for n in (0, 1, 2, 5, 26, 27, 28, 60, 167)),
+    *(ProductSpec.odd(n) for n in (0, 1, 7, 60)),
+    *(ProductSpec.almkvist(r, n) for r, n in ((3, 40), (2, 13), (130, 12), (7, 20))),
+    *(ProductSpec.signed(n) for n in (0, 3, 50)),
+    *(ProductSpec.general(factors) for factors in _general_lists(40)),
+]
+
+
+def full_dump(spec):
+    return "".join(f"{line}\n" for line in dump_lines(build_product(spec)))
+
+
+class TestMirroredDump:
+    def test_the_specs_cover_both_mirror_signs(self):
+        minus = [sum(s < 0 for s, _ in spec.factors) % 2 for spec in MIRROR_SPECS if spec.family == "general"]
+        assert 0 < sum(minus) < len(minus)
+
+    @pytest.mark.parametrize("spec", MIRROR_SPECS, ids=lambda spec: f"{spec.family}-{spec.n}-{spec.r}")
+    def test_dump_product_is_the_full_dump(self, spec):
+        # Main rows 27 and 28 straddle a new digit; odd 0 is the degree-0 row [1].
+        assert "".join(dump_product(spec)) == full_dump(spec)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(1, 30)), min_size=1, max_size=12))
+    @example([(1, 1)])
+    @example([(-1, 1)])
+    @example([(-1, 2), (1, 2)])
+    @example([(-1, 1), (-1, 3)])
+    def test_general_lists_of_either_sign(self, factors):
+        # Degree 1 is a cap of one column and one mirrored column.
+        assert "".join(dump_product(ProductSpec.general(factors))) == full_dump(ProductSpec.general(factors))
+
+    def test_the_row_is_built_before_any_text(self, monkeypatch):
+        # So expand opens no output file for a row too large to allocate.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return times(*args)
+
+        times = polynomials._times
+        monkeypatch.setattr(polynomials, "_times", counted)
+        blocks = dump_product(ProductSpec.main(3))
+        assert len(calls) == 8
+        assert full_dump(ProductSpec.main(3)).startswith(next(blocks))
+        with pytest.raises(ValueError, match="cap"):
+            next(product_rows([[(1, 1)]], cap=0))
+
+
+class TestCappedRows:
+    @settings(deadline=None, max_examples=40)
+    @given(stream_groups, st.integers(1, 300))
+    def test_capped_rows_are_the_first_columns(self, groups, cap):
+        for full, capped in zip(product_rows(groups), product_rows(groups, cap)):
+            assert capped.bits == full.bits and not capped.limbs.flags.writeable
+            assert np.array_equal(capped.limbs, full.limbs[:, :cap])
+
+    @pytest.mark.parametrize("cap", [1, 2, 131, 400, 1000, 5000])
+    def test_blocks_of_more_than_128_terms(self, cap):
+        # Each of the 129 later terms of a 130-term block settles its
+        # destination; the last rows take two digits.
+        groups = [[(1, k, 130)] for k in range(1, 10)] + [[(-1, 3), (1, 5, 130)]]
+        for full, capped in zip(product_rows(groups), product_rows(groups, cap)):
+            assert len(capped.limbs) == len(full.limbs)
+            assert np.array_equal(capped.limbs, full.limbs[:, :cap])
+        assert len(capped.limbs) == 2
+
+    def test_the_capped_main_chain(self):
+        # Rows 0..60 of the main family, the later ones wider than the cap and held past it.
+        capped = list(product_rows(polynomials._main_groups(60, 1), 2000))
+        for full, row in zip(main_rows(60), capped):
+            assert np.array_equal(row.limbs, full.limbs[:, :2000])
