@@ -19,6 +19,12 @@ complementary numerical evidence for the general argument:
 Certificates pair every minimum margin with an explicit error budget;
 a claim counts as certified only when the margin clears the budget.
 
+The lobe ratio (:func:`lobe_ratio_certificates`, :func:`i1_lower_bound`),
+f(n) (:func:`f_value`, :func:`f_sweep_certificates`) and the gamma tail
+are statements about the paper's theta-kernel theta*sin(mu*theta)*P(theta),
+whose sign is not the coefficient difference (n = 5, m = 49). They
+cross-check the paper; they are not premises of unimodality.
+
 The cosine product behind every integral rotates a table of 16 factor
 cosines by block starts (:func:`cosine_product`): each cosine carries
 the rounding of two angles, 6*16*m*theta and (6j+3)*theta, plus a few

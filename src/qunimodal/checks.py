@@ -139,8 +139,8 @@ def check_unimodal(p: Polynomial) -> CheckReport:
 def check_lemma_range(n: int, p: Polynomial) -> CheckReport:
     """Monotonicity on the central window of a main family row.
 
-    Checks coeff(m) >= coeff(m-1) for ceil(3n^2/2) <= m <= floor(3(n+1)^2/2),
-    the stretch of indices a fresh induction step cannot inherit.
+    Checks coeff(m) >= coeff(m-1) from row n-1's centre to row n's,
+    ceil(3n^2/2) <= m <= floor(3(n+1)^2/2): what an induction step cannot inherit.
     """
     if n < 1:
         raise ValueError("the window check needs n >= 1")
@@ -148,8 +148,7 @@ def check_lemma_range(n: int, p: Polynomial) -> CheckReport:
         raise DegreeMismatch(
             f"degree {p.degree} does not match the main family degree {main_degree(n)}"
         )
-    lo = (3 * n * n + 1) // 2
-    hi = 3 * (n + 1) ** 2 // 2
+    lo, hi = -(-main_degree(n - 1) // 2), main_degree(n) // 2
     m = _first_descent(p, lo, hi)
     if m is not None:
         return CheckReport("lemma_range", False, first_violation=m, n=n)
@@ -158,34 +157,27 @@ def check_lemma_range(n: int, p: Polynomial) -> CheckReport:
 
 def _induction_step(n: int, p: Polynomial) -> CheckReport | None:
     """Why row n of the main chain breaks the induction, or None if it carries on."""
-    if n == 0:
-        if check_symmetric(p).passed and check_unimodal(p).passed:
-            return None
-        return CheckReport("induction", False, n=0, details="base row failed")
     sym = check_symmetric(p)
     if not sym.passed:
         return CheckReport("induction", False, first_violation=sym.first_violation, n=n,
                            details=f"symmetry broke at n={n}")
-    m = _first_descent(p, 1, 3 * n * n // 2)
-    if m is not None:
-        return CheckReport("induction", False, first_violation=m, n=n,
-                           details=f"carried monotonicity broke at n={n}, m={m}")
-    window = check_lemma_range(n, p)
-    if not window.passed:
-        return CheckReport("induction", False, first_violation=window.first_violation, n=n,
-                           details=f"central window broke at n={n}, m={window.first_violation}")
-    return None
+    m = _first_descent(p, 1, main_degree(n) // 2)
+    if m is None:
+        return None
+    segment = "carried monotonicity" if m <= main_degree(n - 1) // 2 else "central window"
+    return CheckReport("induction", False, first_violation=m, n=n,
+                       details=f"{segment} broke at n={n}, m={m}")
 
 
 def replay_induction(n_max: int) -> CheckReport:
     """Rebuild the main chain row by row and re-verify the induction.
 
-    Row 0 must be symmetric and unimodal. For each n >= 1 the freshly
-    extended row is checked for symmetry, for monotonicity on
-    1 <= m <= floor(3n^2/2) (the segment carried over from row n-1), and
-    for the central window via :func:`check_lemma_range`. Together with
-    symmetry those two segments cover 1 <= m <= floor(degree/2), which is
-    unimodality. The replay stops at the first row that fails.
+    Each row is checked for symmetry and, in one scan, for monotonicity on
+    1 <= m <= floor(degree/2), which with symmetry is unimodality. A first
+    descent at m <= floor(3n^2/2), the half carried over from row n-1, is
+    reported as carried monotonicity; one further on, as the central
+    window of :func:`check_lemma_range`. The replay stops at the first row
+    that fails.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")

@@ -79,7 +79,7 @@ def validate(config: argparse.Namespace) -> None:
     Any other bad value exits 2 with the called function's own ValueError,
     raised before it does any work. The rules kept here, and why:
     - unset --r, --n or --factors would reach the library as None (a TypeError);
-    - lemma and quotient --n-max < 1 and integral --n < 0 give an empty, passing sweep;
+    - lemma --n-max < 1 gives an empty, passing sweep;
     - --n-min has no library rule;
     - the library checks verify --a, --i2-mu, --i2-n and trig --grid-points only
       after the rows, envelope grids, --plot-csv file or identity sweep are done;
@@ -88,11 +88,8 @@ def validate(config: argparse.Namespace) -> None:
     command = config.command
     if command in ("verify", "lemma", "borwein", "almkvist") and not 0 <= config.n_min <= config.n_max:
         raise ValueError(f"need 0 <= n_min <= n_max, got [{config.n_min}, {config.n_max}]")
-    wants_quotient = command in ("expand", "verify", "almkvist") and config.family == "almkvist"
-    if wants_quotient and config.r is None:
+    if command in ("expand", "verify", "almkvist") and config.family == "almkvist" and config.r is None:
         raise ValueError("the quotient family needs --r")
-    if wants_quotient and command != "expand" and config.n_max < 1:
-        raise ValueError("the quotient family starts at n = 1; need --n-max >= 1")
     if command == "lemma" and config.n_max < 1:
         raise ValueError("the lemma's window check starts at n = 1; need --n-max >= 1")
     if command == "expand" and config.family != "general" and config.n is None:
@@ -101,8 +98,6 @@ def validate(config: argparse.Namespace) -> None:
         raise ValueError(f"{command} --family general needs --factors")
     if command == "verify" and config.a is not None and config.a < 0:
         raise ValueError("--a must be >= 0")
-    if command == "integral" and config.n is not None and config.n < 0:
-        raise ValueError("--n must be >= 0")
     if command == "certify" and any(mu < 0 for mu in config.i2_mu):
         raise ValueError("--i2-mu entries must be >= 0")
     if command == "certify" and config.i2_n < 1:

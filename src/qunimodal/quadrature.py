@@ -139,12 +139,12 @@ def _composite(f: Callable, a: float, b: float, panels: int) -> tuple[np.ndarray
     rows at all. Each chunk's panel sums join a few columns per row that
     hold the running total exactly, so a row's value is the correctly
     rounded sum of its panel sums whatever the chunk size. The first
-    chunk is a single panel; the number of rows it reveals sizes the
-    chunks after it.
+    chunk is 64 panels, or all of fewer; the number of rows it reveals
+    sizes the chunks after it.
     """
     h = (b - a) / panels
     parts = None
-    start, count = 0, 1
+    start, count = 0, min(_MIN_CHUNK_PANELS, panels)
     while count:
         sums, many = _panel_sums(f, a + (start + np.arange(count)) * h, h)
         parts = _exact_parts(sums if parts is None else np.concatenate((parts, sums), axis=1))

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from qunimodal import checks
 from qunimodal.checks import (
     CheckReport,
     check_almost_unimodal,
@@ -135,6 +136,57 @@ class TestReplayInduction:
             p = build_product(ProductSpec.main(n))
             assert check_symmetric(p).passed
             assert check_unimodal(p).passed
+
+
+def dented(n, m, mirror=True):
+    """Row n of the main chain with a_m set one below a_{m-1}, and a_{d-m} with it."""
+    cs = list(build_product(ProductSpec.main(n)).coeffs)
+    cs[m] = cs[m - 1] - 1
+    if mirror:
+        cs[-1 - m] = cs[m]
+    return Polynomial(cs)
+
+
+class TestInductionFailures:
+    # Each report names the first failing index and the segment it falls in:
+    # carried monotonicity on 1..floor(3n^2/2), the window up to floor(3(n+1)^2/2).
+    @pytest.mark.parametrize("n,m,mirror,want", [
+        (4, 5, False, {"first_violation": 5, "details": "symmetry broke at n=4"}),
+        (5, 10, True, {"first_violation": 10, "details": "carried monotonicity broke at n=5, m=10"}),
+        (5, 45, True, {"first_violation": 45, "details": "central window broke at n=5, m=45"}),
+        (20, 600, True, {"first_violation": 600, "details": "carried monotonicity broke at n=20, m=600"}),
+        (21, 661, True, {"first_violation": 661, "details": "carried monotonicity broke at n=21, m=661"}),
+        (21, 662, True, {"first_violation": 662, "details": "central window broke at n=21, m=662"}),
+    ])
+    def test_report_of_a_changed_row(self, n, m, mirror, want):
+        rep = checks._induction_step(n, dented(n, m, mirror))
+        assert rep.to_json_dict() == {"kind": "induction", "passed": False, "n": n, **want}
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_every_dip_is_named_by_its_segment(self, n):
+        # Row 0 inherits nothing: all of 1..1 is its window.
+        carried, hi = 3 * n * n // 2, 3 * (n + 1) ** 2 // 2
+        assert checks._induction_step(n, build_product(ProductSpec.main(n))) is None
+        for m in range(1, hi + 1):
+            segment = "carried monotonicity" if m <= carried else "central window"
+            rep = checks._induction_step(n, dented(n, m))
+            assert (rep.first_violation, rep.details) == (m, f"{segment} broke at n={n}, m={m}")
+
+    def test_replay_scans_each_row_once(self, monkeypatch):
+        calls = {"_steps": 0, "check_lemma_range": 0}
+
+        def counted(name):
+            inner = getattr(checks, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(checks, name, counted(name))
+        assert replay_induction(20).passed
+        assert calls == {"_steps": 21, "check_lemma_range": 0}
 
 
 class TestSignPattern:

@@ -396,11 +396,6 @@ class TestFamilyStream:
         assert code in (0, 1)
         assert [r["n"] for r in report["results"]] == [n for n in range(2, 7) for _ in range(2)]
 
-    def test_quotient_sweep_needs_a_row(self, capsys):
-        code, _, err = run_cli(["verify", "--family", "almkvist", "--r", "3", "--n-max", "0"], capsys)
-        assert code == 2
-        assert "n-max" in err
-
 
 class TestLibraryRules:
     # Rules that only the called function states: each exits 2 with that
@@ -423,6 +418,9 @@ class TestLibraryRules:
             (["expand", "--family", "odd", "--n", "-1", "--out", "{dir}/row.csv"], "odd family needs n >= 0"),
             (["expand", "--family", "almkvist", "--r", "3", "--n", "0", "--out", "{dir}/row.csv"],
              "quotient family needs n >= 1"),
+            (["verify", "--family", "almkvist", "--r", "3", "--n-max", "0"], "quotient family needs n >= 1"),
+            (["integral", "--n", "-1"], "main family needs n >= 0"),
+            (["integral", "--sign-accord", "--n", "-1"], "main family needs n >= 0"),
         ],
     )
     def test_exits_2_with_the_library_message(self, args, message, tmp_path, capsys):

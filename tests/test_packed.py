@@ -48,6 +48,7 @@ from qunimodal.polynomials import (
     main_rows,
     mul_binomial,
     product_rows,
+    recurrence_step,
 )
 
 
@@ -303,6 +304,15 @@ class TestSlotWidth:
         rows = [(p.bits, len(p.limbs)) for p in main_rows(167)]
         assert rows == [(2 * n + 2, (2 * n + 2 + 55) // 56) for n in range(168)]
         assert rows[-1] == (336, 6)
+
+    def test_the_recurrence_chain_sizes_rows_as_the_stream(self):
+        # recurrence_step multiplies by two binomials, one bit each, so the
+        # chain from row 0 keeps the stream's bits and digit count.
+        p, want = build_product(ProductSpec.main(0)), list(main_rows(60))
+        for n in range(1, 61):
+            p = recurrence_step(p, n)
+            assert (p.bits, len(p.limbs)) == (want[n].bits, len(want[n].limbs))
+            assert np.array_equal(p.limbs, want[n].limbs)
 
     def test_a_list_row_grows_its_slots_when_a_factor_needs_them(self):
         factors = [(1, 1)] * 70 + [(-1, 2)] * 3

@@ -52,6 +52,7 @@ COMMANDS = {
     "verify": ["verify", "--n-max", "167", "--report", "r.json"],
     "lemma": ["lemma", "--n-max", "167", "--report", "r.json"],
     "induction": ["induction", "--n-max", "167", "--report", "r.json"],
+    "induction_300": ["induction", "--n-max", "300", "--report", "r.json"],
     "borwein": ["borwein", "--n-max", "60", "--report", "r.json"],
     "verify_300": ["verify", "--n-max", "300", "--report", "r.json"],
     "borwein_120": ["borwein", "--n-max", "120", "--report", "r.json"],
