@@ -45,7 +45,7 @@ import numpy as np
 
 from .checks import CheckReport
 from .errors import DomainViolation, GridTooCoarse, NearSingular, SingularPoint
-from .polynomials import Polynomial, ProductSpec, checked_rows, coeff, main_degree
+from .polynomials import Polynomial, ProductSpec, checked_rows, coeff, main_degree, main_window
 
 # Unused here, but bench/tracing.py wraps these names in this module; keep them bound.
 from .polynomials import build_product, mul_binomial  # noqa: F401
@@ -378,13 +378,11 @@ class MuInfo(NamedTuple):
 
 
 def mu_of(n: int, m: int) -> MuInfo:
-    """Center offset mu = degree - 2m, plus whether it sits in [0, 6n+3].
+    """Center offset mu = degree - 2m, plus whether m lies in :func:`main_window` (n).
 
-    The flag is equivalent to m lying in the central monotonicity
-    window of row n.
+    The flag is equivalent to mu sitting in [0, 6n+3].
     """
-    mu = main_degree(n) - 2 * m
-    return MuInfo(mu, 0 <= mu <= 6 * n + 3)
+    return MuInfo(main_degree(n) - 2 * m, m in main_window(n))
 
 
 def i1_lower_bound(n: int, mu: float) -> float:
@@ -917,6 +915,7 @@ def lobe_ratio_certificates(n: int, mus) -> list[BoundCertificate]:
     split = math.pi / (6 * n + 4)
     degree = main_degree(n)
     by_top: dict[int, list[int]] = {}
+    # 6n+3 caps the window's offsets of either parity; a parity-exact cap would change the grids' bits.
     for mu in sorted({mu for mu in mus if mu > 0}):
         by_top.setdefault(max(6 * n + 3, mu), []).append(mu)
     lobes: dict[int, tuple[QuadratureResult, QuadratureResult, int]] = {}
@@ -933,7 +932,8 @@ def _lobe_certificate(n: int, mu: int, split: float, lobes) -> BoundCertificate:
     flags = []
     if n < 168:
         flags.append("exploratory_below_168")
-    if not (0 < mu <= 6 * n + 3) or (main_degree(n) - mu) % 2 != 0:
+    d = main_degree(n)
+    if mu == 0 or (d - mu) % 2 or (d - mu) // 2 not in main_window(n):
         flags.append("non_coefficient_probe")
     if lobes is None:
         return BoundCertificate(
@@ -1042,7 +1042,7 @@ def _sign_accord_report(n: int, p: Polynomial) -> CheckReport:
     checked = 0
     skipped = 0
     violation = None
-    mus = list(range(2 - degree % 2, 6 * n + 4, 2))
+    mus = [degree - 2 * m for m in reversed(main_window(n)) if 2 * m < degree]
     result = quad_I(n, mus, 0.0, math.pi / 2)
     for mu, value, error in zip(mus, result.value, result.abs_error_estimate):
         m = (degree - mu) // 2

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeMismatch
-from .polynomials import Polynomial, ProductSpec, checked_rows, main_degree
+from .polynomials import Polynomial, ProductSpec, checked_rows, main_degree, main_window
 
 # Unused here, but bench/tracing.py wraps these names in this module; keep them bound.
 from .polynomials import build_product, recurrence_step  # noqa: F401
@@ -139,8 +139,8 @@ def check_unimodal(p: Polynomial) -> CheckReport:
 def check_lemma_range(n: int, p: Polynomial) -> CheckReport:
     """Monotonicity on the central window of a main family row.
 
-    Checks coeff(m) >= coeff(m-1) from row n-1's centre to row n's,
-    ceil(3n^2/2) <= m <= floor(3(n+1)^2/2): what an induction step cannot inherit.
+    Checks coeff(m) >= coeff(m-1) for m in :func:`main_window` (n), from row
+    n-1's centre to row n's: what an induction step cannot inherit.
     """
     if n < 1:
         raise ValueError("the window check needs n >= 1")
@@ -148,11 +148,11 @@ def check_lemma_range(n: int, p: Polynomial) -> CheckReport:
         raise DegreeMismatch(
             f"degree {p.degree} does not match the main family degree {main_degree(n)}"
         )
-    lo, hi = -(-main_degree(n - 1) // 2), main_degree(n) // 2
-    m = _first_descent(p, lo, hi)
+    window = main_window(n)
+    m = _first_descent(p, window[0], window[-1])
     if m is not None:
         return CheckReport("lemma_range", False, first_violation=m, n=n)
-    return CheckReport("lemma_range", True, n=n, details=f"window=[{lo},{hi}]")
+    return CheckReport("lemma_range", True, n=n, details=f"window=[{window[0]},{window[-1]}]")
 
 
 def _induction_step(n: int, p: Polynomial) -> CheckReport | None:
@@ -164,6 +164,7 @@ def _induction_step(n: int, p: Polynomial) -> CheckReport | None:
     m = _first_descent(p, 1, main_degree(n) // 2)
     if m is None:
         return None
+    # Row n-1 rises to floor(deg B_{n-1}/2), which can be main_window(n)[0]: that m stays carried.
     segment = "carried monotonicity" if m <= main_degree(n - 1) // 2 else "central window"
     return CheckReport("induction", False, first_violation=m, n=n,
                        details=f"{segment} broke at n={n}, m={m}")

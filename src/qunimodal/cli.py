@@ -16,8 +16,10 @@ Commands
 The parsed command line is the configuration: ``main(argv)`` parses,
 ``validate`` checks and ``run`` executes one ``argparse.Namespace``, and
 a report's ``metadata.config`` holds its values that are not None.
-``validate`` states only the rules no called function states first; any
-other exit-2 message is the called function's own ValueError.
+``validate`` rejects only an unset option a command needs, and a
+negative trig --seed so that the message names the flag; any other
+exit-2 message is the called function's own ValueError, raised before
+any report, row file or CSV is written.
 
 Exit codes: 0 every check passed; 1 a check failed or a certificate
 margin was nonpositive; 2 invalid configuration, a request too large to
@@ -74,36 +76,19 @@ __all__ = ["build_parser", "main", "run", "validate"]
 
 
 def validate(config: argparse.Namespace) -> None:
-    """Reject what no called function rejects first; raises ValueError.
+    """Reject an unset option the command needs, which would reach the library as None.
 
-    Any other bad value exits 2 with the called function's own ValueError,
-    raised before it does any work. The rules kept here, and why:
-    - unset --r, --n or --factors would reach the library as None (a TypeError);
-    - lemma --n-max < 1 gives an empty, passing sweep;
-    - --n-min has no library rule;
-    - the library checks verify --a, --i2-mu, --i2-n and trig --grid-points only
-      after the rows, envelope grids, --plot-csv file or identity sweep are done;
-    - the identity sweep's message for a negative --seed names no flag.
+    Every other bad value exits 2 with the called function's own
+    ValueError, raised before any report, row file or CSV is written; a
+    negative trig --seed is caught here only so that the message names the flag.
     """
     command = config.command
-    if command in ("verify", "lemma", "borwein", "almkvist") and not 0 <= config.n_min <= config.n_max:
-        raise ValueError(f"need 0 <= n_min <= n_max, got [{config.n_min}, {config.n_max}]")
     if command in ("expand", "verify", "almkvist") and config.family == "almkvist" and config.r is None:
         raise ValueError("the quotient family needs --r")
-    if command == "lemma" and config.n_max < 1:
-        raise ValueError("the lemma's window check starts at n = 1; need --n-max >= 1")
     if command == "expand" and config.family != "general" and config.n is None:
         raise ValueError(f"expand --family {config.family} needs --n")
     if command in ("expand", "verify") and config.family == "general" and not config.factors:
         raise ValueError(f"{command} --family general needs --factors")
-    if command == "verify" and config.a is not None and config.a < 0:
-        raise ValueError("--a must be >= 0")
-    if command == "certify" and any(mu < 0 for mu in config.i2_mu):
-        raise ValueError("--i2-mu entries must be >= 0")
-    if command == "certify" and config.i2_n < 1:
-        raise ValueError("--i2-n must be >= 1")
-    if command == "trig" and config.grid_points < 10:
-        raise ValueError("--grid-points must be >= 10")
     if command == "trig" and config.seed < 0:
         raise ValueError("--seed must be >= 0")
 
@@ -202,12 +187,12 @@ def _write_envelope_csv(n: int, grid_points: int, path: str) -> None:
 
 def _cmd_certify(config: argparse.Namespace):
     results = [certify_E_bound(n, config.grid_points) for n in config.n_list]
+    lobes = lobe_ratio_certificates(config.i2_n, config.i2_mu)  # before the CSV: a bad --i2-* writes none
     if config.plot_csv:
         _write_envelope_csv(config.n_list[0], config.grid_points, config.plot_csv)
     if config.with_gamma_tail:
         results.extend(gamma_tail_certificates())
-    results.extend(lobe_ratio_certificates(config.i2_n, config.i2_mu))
-    return results
+    return results + lobes
 
 
 def _cmd_integral(config: argparse.Namespace):
@@ -216,9 +201,8 @@ def _cmd_integral(config: argparse.Namespace):
 
 
 def _cmd_trig(config: argparse.Namespace):
-    certificates = sweep_identity_residuals(config.samples, config.seed)
-    certificates.extend(sweep_inequality_margins(config.grid_points))
-    return certificates
+    margins = sweep_inequality_margins(config.grid_points)  # first: a bad --grid-points fails fast
+    return sweep_identity_residuals(config.samples, config.seed) + margins
 
 
 def _cmd_sweep_f(config: argparse.Namespace):

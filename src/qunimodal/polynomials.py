@@ -66,6 +66,7 @@ __all__ = [
     "family_rows",
     "main_degree",
     "main_rows",
+    "main_window",
     "mul_binomial",
     "parse_dump",
     "product_rows",
@@ -85,6 +86,15 @@ _BLOCK = 1 << 13
 def main_degree(n: int) -> int:
     """Degree of the n-th main family product: 3 (n+1)**2."""
     return 3 * (n + 1) ** 2
+
+
+def main_window(n: int) -> range:
+    """The central window of row n: ceil(deg B_{n-1} / 2) <= m <= floor(deg B_n / 2).
+
+    Its offsets mu = deg B_n - 2m are the integers of [0, 6n+3] with the
+    parity of deg B_n.
+    """
+    return range(-(-main_degree(n - 1) // 2), main_degree(n) // 2 + 1)
 
 
 def _digit_count(bits: int) -> int:
@@ -404,10 +414,13 @@ def family_rows(spec: ProductSpec) -> Iterator[tuple[int | None, Polynomial]]:
 def checked_rows(spec: ProductSpec, check: Callable, n_min: int = 0) -> Iterator:
     """Yield ``check(n, row)`` for each row of :func:`family_rows` from n = ``n_min`` on.
 
-    A ``general`` product's one row is always checked. Each row is dropped
-    before the stream builds the next, so every row grows in place; a
-    check must not keep its row.
+    Raises ValueError, before building a row, if ``n_min`` < 0 or ``n_min`` >
+    ``spec.n``; a ``general`` product has no n, and its one row is checked.
+    Each row is dropped before the stream builds the next, so every row
+    grows in place; a check must not keep its row.
     """
+    if n_min < 0 or (spec.n is not None and n_min > spec.n):
+        raise ValueError(f"need 0 <= n_min <= n_max, got n_min = {n_min}, n_max = {spec.n}")
     for n, p in family_rows(spec):
         if n is None or n >= n_min:
             yield check(n, p)

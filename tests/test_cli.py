@@ -131,12 +131,6 @@ class TestStructuralCommands:
         assert code == 0
         assert len(report["results"]) == 5
 
-    def test_lemma_needs_a_row(self, capsys):
-        # the window check starts at n = 1, so n-max 0 would pass vacuously
-        code, _, err = run_cli(["lemma", "--n-min", "0", "--n-max", "0"], capsys)
-        assert code == 2
-        assert "n-max" in err
-
     def test_induction(self, tmp_path, capsys):
         code, report = run_report(["induction", "--n-max", "6"], tmp_path, capsys)
         assert code == 0
@@ -421,6 +415,17 @@ class TestLibraryRules:
             (["verify", "--family", "almkvist", "--r", "3", "--n-max", "0"], "quotient family needs n >= 1"),
             (["integral", "--n", "-1"], "main family needs n >= 0"),
             (["integral", "--sign-accord", "--n", "-1"], "main family needs n >= 0"),
+            (["verify", "--n-max", "3", "--a", "-1"], "window trim must be >= 0"),
+            (["certify", "--n", "168", "--i2-mu", "5,-1", "--plot-csv", "{dir}/p.csv"], "mu must be >= 0"),
+            (["certify", "--n", "168", "--i2-n", "0", "--plot-csv", "{dir}/p.csv"], "n must be >= 1"),
+            (["trig", "--grid-points", "9"], "need at least 10 grid points"),
+            (["verify", "--n-min", "5", "--n-max", "3"], "need 0 <= n_min <= n_max"),
+            (["borwein", "--n-min", "-1"], "need 0 <= n_min <= n_max"),
+            (["almkvist", "--r", "3", "--n-min", "41"], "need 0 <= n_min <= n_max"),
+            # the window check starts at n = 1, so n-max 0 would check no row
+            (["lemma", "--n-min", "0", "--n-max", "0"], "need 0 <= n_min <= n_max"),
+            # a bad --n is named before a lobe that would run out of panels (exit 3)
+            (["certify", "--n", "167", "--i2-n", "1300", "--i2-mu", "7"], "claimed for n >= 168 only"),
         ],
     )
     def test_exits_2_with_the_library_message(self, args, message, tmp_path, capsys):

@@ -3,10 +3,15 @@
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from qunimodal import cli
-from qunimodal.polynomials import ProductSpec, _times as times, build_product, checked_rows, family_rows
+from qunimodal.analytic import mu_of
+from qunimodal.polynomials import (
+    ProductSpec, _times as times, build_product, checked_rows, family_rows, main_window,
+)
 
 
 def rows_of(spec):
@@ -84,6 +89,27 @@ class TestFamilyRows:
         seen = list(checked_rows(ProductSpec.signed(6), lambda n, p: (n, list(p.coeffs)), 4))
         assert seen == [(n, oracles.naive_product(oracles.borwein_factors(n))) for n in range(4, 7)]
         assert list(checked_rows(ProductSpec.general([(1, 2)]), lambda n, p: n, 4)) == [None]
+
+    @pytest.mark.parametrize("n_min", [-1, 7])
+    def test_checked_rows_refuses_a_sweep_of_no_row(self, n_min):
+        def check(n, p):
+            raise AssertionError("no row is checked")
+
+        with pytest.raises(ValueError, match="n_min"):
+            list(checked_rows(ProductSpec.main(6), check, n_min))
+
+    def test_general_product_is_checked_at_any_n_min(self, tmp_path, capsys):
+        # a general product has no n, so no --n-min >= 0 makes its sweep empty
+        argv = ["verify", "--family", "general", "--factors", "+1,+2", "--n-min", "200"]
+        assert cli.main([*argv, "--report", str(tmp_path / "r.json")]) == 0
+
+    @given(st.integers(0, 20_000))
+    def test_main_window_is_the_centres_of_rows_n_minus_1_and_n(self, n):
+        window, d = main_window(n), 3 * (n + 1) ** 2
+        assert (window.start, window[-1]) == (-(-3 * n**2 // 2), d // 2)
+        assert [d - 2 * m for m in reversed(window)] == list(range(d % 2, 6 * n + 4, 2))
+        for m in range(window.start - 2, window[-1] + 3):
+            assert mu_of(n, m) == (d - 2 * m, 0 <= d - 2 * m <= 6 * n + 3)
 
     def test_odd_spec_validation(self):
         with pytest.raises(ValueError):

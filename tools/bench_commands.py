@@ -65,6 +65,8 @@ COMMANDS = {
     "lobe_ratio": ["certify", "--n", "168", "--i2-n", "168", "--i2-mu", "301,711", "--report", "r.json"],
     "lobe_ratio_1_1011": ["certify", "--n", "168", "--i2-n", "168", "--i2-mu", "1,1011", "--report", "r.json"],
     "lobe_ratio_300_7": ["certify", "--n", "168", "--i2-n", "300", "--i2-mu", "7", "--report", "r.json"],
+    "certify_probe": ["certify", "--n", "168,300", "--gamma-tail", "--i2-n", "168", "--i2-mu", "0,2,1011,2000",
+                      "--report", "r.json"],
     "verify_odd": ["verify", "--family", "odd", "--n-max", "60", "--report", "r.json"],
     "verify_almkvist": ["verify", "--family", "almkvist", "--r", "3", "--n-max", "40", "--report", "r.json"],
     "verify_general": ["verify", "--family", "general", "--factors", "+1,+2,+4,+5,+7,+8,-3,+9", "--report", "r.json"],
