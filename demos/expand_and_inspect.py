@@ -17,7 +17,6 @@ from qunimodal import (
     check_unimodal,
     evaluate_at_minus_one,
     evaluate_at_one,
-    main_rows,
     product_rows,
     check_almost_unimodal,
 )
@@ -36,7 +35,7 @@ for n in range(4):
 
 # The signed variant of the same product has a strict sign cycle
 # +,-,- along the coefficient index. Zeros are allowed anywhere.
-*_, signed = main_rows(2, sign=-1)
+signed = build_product(ProductSpec.signed(2))
 print("signed product, n=2:", list(signed.coeffs))
 
 # Distinct odd parts give an almost-unimodal row: the q^2 coefficient

@@ -17,7 +17,6 @@ from qunimodal import (
     check_symmetric,
     check_unimodal,
     family_rows,
-    main_rows,
     replay_induction,
 )
 
@@ -39,7 +38,7 @@ rep = replay_induction(60)
 print("induction replay:", rep.passed, "-", rep.details)
 print()
 
-bad = sum(not check_sign_pattern(signed, "+--").passed for signed in main_rows(30, sign=-1))
+bad = sum(not check_sign_pattern(p, "+--").passed for _, p in family_rows(ProductSpec.signed(30)))
 print(f"signed product keeps the +-- cycle through n=30: {bad == 0}")
 print()
 

@@ -58,6 +58,7 @@ __all__ = [
     "coeff_by_integral",
     "cosine_product",
     "e_exponent",
+    "envelope_bound",
     "envelope_exponent_grid",
     "envelope_grid",
     "f_log",
@@ -183,17 +184,21 @@ def _at_point(bound_id: str, x: float, margin: float, budget: float, detail: dic
                             n=n, detail=detail)
 
 
+def _worst_margin(margins, xs, budget: float) -> dict:
+    """The least of ``margins``, the point of ``xs`` that first takes it, and the error budget."""
+    worst = int(np.argmin(margins))
+    return {"min_margin": float(margins[worst]), "argmin": float(xs[worst]), "error_budget": float(budget)}
+
+
 def _on_grid(bound_id: str, xs, margins, budget: float, detail: dict,
              points: int | None = None) -> BoundCertificate:
     """A certificate on the grid ``xs``: its least margin, at the first point that takes it.
 
     The grid spans min(xs)..max(xs); ``points`` is ``len(margins)`` unless given.
     """
-    worst = int(np.argmin(margins))
     return BoundCertificate(bound_id=bound_id, grid_lo=float(np.min(xs)), grid_hi=float(np.max(xs)),
-                            grid_points=len(margins) if points is None else points,
-                            min_margin=float(margins[worst]), argmin=float(xs[worst]),
-                            error_budget=float(budget), detail=detail)
+                            grid_points=len(margins) if points is None else points, detail=detail,
+                            **_worst_margin(margins, xs, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -467,16 +472,13 @@ def envelope_grid(n: int, grid_points: int) -> np.ndarray:
     raise SingularPoint("grid perturbation failed to clear the sine zeros")
 
 
-def _worst_margin(bound: float, values, errors, thetas) -> dict:
-    """Smallest margin of ``values <= bound`` on a grid, its argmin, and the error budget."""
-    margins = bound - values
-    worst = int(np.argmin(margins))
-    return {"min_margin": float(margins[worst]), "argmin": float(thetas[worst]),
-            "error_budget": float(errors.max())}
+def envelope_bound(n: float) -> float:
+    """The envelope line -0.163 n - 0.031 that :func:`certify_E_bound` holds e_exponent under."""
+    return -ENVELOPE_SLOPE * n - ENVELOPE_INTERCEPT
 
 
 def certify_E_bound(n: int, grid_points: int = 20000) -> BoundCertificate:
-    """Certify e_exponent <= -ENVELOPE_SLOPE*n - ENVELOPE_INTERCEPT on :func:`envelope_grid`.
+    """Certify e_exponent <= :func:`envelope_bound` on :func:`envelope_grid`.
 
     The two constituent ranges are additionally certified against their
     own sharper constants and reported under ``detail["branches"]``; the
@@ -488,19 +490,18 @@ def certify_E_bound(n: int, grid_points: int = 20000) -> BoundCertificate:
         raise ValueError("certification needs at least 1000 grid points")
     thetas = envelope_grid(n, grid_points)
     values, errors = envelope_exponent_grid(n, thetas)
-    headline = _worst_margin(-ENVELOPE_SLOPE * n - ENVELOPE_INTERCEPT, values, errors, thetas)
+    headline = _worst_margin(envelope_bound(n) - values, thetas, errors.max())
     branches: dict = {}
     low_mask = thetas <= math.pi / 6
     for name, mask, branch_slope, branch_intercept in (
         ("theta_le_pi_over_6", low_mask, ENVELOPE_SLOPE, BRANCH_LOW_INTERCEPT),
         ("theta_gt_pi_over_6", ~low_mask, BRANCH_HIGH_SLOPE, ENVELOPE_INTERCEPT),
     ):
-        bound = -branch_slope * n - branch_intercept
         branches[name] = {
             "slope": branch_slope,
             "intercept": branch_intercept,
             "points": int(mask.sum()),
-            **_worst_margin(bound, values[mask], errors[mask], thetas[mask]),
+            **_worst_margin(-branch_slope * n - branch_intercept - values[mask], thetas[mask], errors[mask].max()),
         }
     return BoundCertificate(
         bound_id="envelope_exponent",
@@ -531,7 +532,7 @@ def f_value(n: float) -> float:
         * float(n) ** 4.5
         / (4.0 * SMALL_LOBE_COEFF)
         * (0.5 - 1.0 / (6.0 * n + 4.0))
-        * math.exp(-ENVELOPE_SLOPE * n - ENVELOPE_INTERCEPT)
+        * math.exp(envelope_bound(n))
     )
 
 
@@ -929,56 +930,38 @@ def lobe_ratio_certificates(n: int, mus) -> list[BoundCertificate]:
 
 def _lobe_certificate(n: int, mu: int, split: float, lobes) -> BoundCertificate:
     """One offset's certificate from its row of the two lobe integrals (None for mu = 0)."""
+    points, margins, budgets, passed, detail = 0, [0.0], [0.0], True, {"mu": 0, "vacuous": True}
+    if lobes is not None:
+        first, rest, row = lobes
+        i1, i1_error = float(first.value[row]), float(first.abs_error_estimate[row])
+        i2, i2_error = float(rest.value[row]), float(rest.abs_error_estimate[row])
+        factor = f_value(n)
+        points, passed = first.panels + rest.panels, None
+        margins = [factor * i1 - abs(i2)]
+        budgets = [factor * i1_error + i2_error]
+        detail = {"mu": mu, "i1": i1, "i2": i2, "f_n": factor, "i1_panels": first.panels, "i2_panels": rest.panels}
+        if n >= 168:
+            floor = i1_lower_bound(n, mu)
+            margins.append(i1 - floor)
+            budgets.append(i1_error)
+            detail["i1_lower_bound"] = floor
     flags = []
     if n < 168:
         flags.append("exploratory_below_168")
     d = main_degree(n)
     if mu == 0 or (d - mu) % 2 or (d - mu) // 2 not in main_window(n):
         flags.append("non_coefficient_probe")
-    if lobes is None:
-        return BoundCertificate(
-            bound_id="lobe_ratio",
-            grid_lo=0.0,
-            grid_hi=math.pi / 2,
-            grid_points=0,
-            min_margin=0.0,
-            argmin=split,
-            error_budget=0.0,
-            passed=True,
-            n=n,
-            detail={"mu": 0, "vacuous": True, "flags": flags},
-        )
-    first, rest, row = lobes
-    i1, i1_error = float(first.value[row]), float(first.abs_error_estimate[row])
-    i2, i2_error = float(rest.value[row]), float(rest.abs_error_estimate[row])
-    factor = f_value(n)
-    margins = [factor * i1 - abs(i2)]
-    budgets = [factor * i1_error + i2_error]
-    detail: dict = {
-        "mu": mu,
-        "i1": i1,
-        "i2": i2,
-        "f_n": factor,
-        "i1_panels": first.panels,
-        "i2_panels": rest.panels,
-    }
-    if n >= 168:
-        floor = i1_lower_bound(n, mu)
-        margins.append(i1 - floor)
-        budgets.append(i1_error)
-        detail["i1_lower_bound"] = floor
     if flags:
         detail["flags"] = flags
-    min_margin = min(margins)
-    budget = max(budgets)
     return BoundCertificate(
         bound_id="lobe_ratio",
         grid_lo=0.0,
         grid_hi=math.pi / 2,
-        grid_points=first.panels + rest.panels,
-        min_margin=float(min_margin),
+        grid_points=points,
+        min_margin=float(min(margins)),
         argmin=float(split),
-        error_budget=float(budget),
+        error_budget=float(max(budgets)),
+        passed=passed,
         n=n,
         detail=detail,
     )

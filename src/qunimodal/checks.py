@@ -10,7 +10,8 @@ compared digit by digit from the signed top digit down, which gives the
 exact signs of a_m - a_{m-1} as one int8 vector, read by the
 unimodality, window and induction checks. A coefficient's sign is its
 top digit's sign, or zero where every digit is zero (the sign pattern
-check). Symmetry compares each plane with its mirror.
+check, whose pattern is a string over '+-'). Symmetry compares each
+plane with its mirror.
 """
 
 from __future__ import annotations
@@ -188,36 +189,20 @@ def replay_induction(n_max: int) -> CheckReport:
     return CheckReport("induction", True, n=n_max, details=f"chain verified through n={n_max}")
 
 
-def _parse_pattern(pattern) -> tuple[int, ...]:
-    if isinstance(pattern, str):
-        mapping = {"+": 1, "-": -1}
-        try:
-            return tuple(mapping[ch] for ch in pattern)
-        except KeyError as exc:
-            raise ValueError(f"pattern characters must be '+' or '-', got {pattern!r}") from exc
-    signs = tuple(int(s) for s in pattern)
-    if any(s not in (1, -1) for s in signs):
-        raise ValueError("pattern entries must be +1 or -1")
-    return signs
+def check_sign_pattern(p: Polynomial, pattern: str) -> CheckReport:
+    """Verify coefficient signs follow ``pattern``, a string over '+-', cyclically, mod its length.
 
-
-def check_sign_pattern(p: Polynomial, pattern) -> CheckReport:
-    """Verify coefficient signs follow ``pattern`` cyclically, mod its length.
-
-    ``pattern`` is either a string over '+-' or a sequence of +1/-1
-    values. A zero coefficient is compatible with either sign.
+    A zero coefficient is compatible with either sign.
     """
-    signs = _parse_pattern(pattern)
-    if not signs:
-        raise ValueError("the pattern needs at least one sign")
+    if not isinstance(pattern, str) or not pattern or set(pattern) - {"+", "-"}:
+        raise ValueError(f"the pattern must be a non-empty string over '+-', got {pattern!r}")
     coefficient_signs = (p.limbs != 0).any(axis=0).astype(np.int8)
     coefficient_signs[p.limbs[-1] < 0] = -1
-    want = np.resize(np.array(signs, dtype=np.int8), p.degree + 1)
+    want = np.resize(np.array([1 if ch == "+" else -1 for ch in pattern], dtype=np.int8), p.degree + 1)
     wrong = np.flatnonzero(coefficient_signs * want < 0)
     if wrong.size:
         return CheckReport("sign_pattern", False, first_violation=int(wrong[0]))
-    text = "".join("+" if s > 0 else "-" for s in signs)
-    return CheckReport("sign_pattern", True, details=f"pattern={text}")
+    return CheckReport("sign_pattern", True, details=f"pattern={pattern}")
 
 
 def check_almost_unimodal(p: Polynomial, a: int) -> CheckReport:

@@ -42,10 +42,9 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .analytic import (
-    ENVELOPE_INTERCEPT,
-    ENVELOPE_SLOPE,
     BoundCertificate,
     certify_E_bound,
+    envelope_bound,
     envelope_exponent_grid,
     envelope_grid,
     f_sweep_certificates,
@@ -178,7 +177,7 @@ def _cmd_borwein(config: argparse.Namespace):
 def _write_envelope_csv(n: int, grid_points: int, path: str) -> None:
     thetas = envelope_grid(n, grid_points)
     values, _ = envelope_exponent_grid(n, thetas)
-    bound = -ENVELOPE_SLOPE * n - ENVELOPE_INTERCEPT
+    bound = envelope_bound(n)
     with _sink(path) as fh:
         fh.write("theta,exponent,bound\n")
         for theta, value in zip(thetas, values):

@@ -10,12 +10,12 @@ takes t - 1 of them. A digit's 7 spare bits hold the sum of 128 settled
 digits, so one carry pass (:func:`_settle`) per row settles it. Factors
 of t_1, t_2, ... terms bound the coefficients by t_1 t_2 ... - 1, so a
 row's ``bits`` is the bit length of that bound (336 bits, six digits,
-for the last row of ``main_rows(167)``). No arithmetic builds a row-sized
-Python integer: ``.coeffs`` and :func:`dump_lines` decode through views
-of 7 bytes a digit. A stream grows each row in place in one array shaped
-as its last row (:func:`product_rows`); with a column cap it keeps only
-the first ``cap`` columns and is exact modulo q**cap, since no column
-reads a higher one.
+for main row 167). No arithmetic builds a row-sized Python integer:
+``.coeffs`` and :func:`dump_lines` decode through views of 7 bytes a
+digit. A stream grows each row in place in one array shaped as its last
+row (:func:`product_rows`); with a column cap it keeps only the first
+``cap`` columns and is exact modulo q**cap, since no column reads a
+higher one.
 
 Every factor sum_{j<t} (s q**e)**j is palindromic up to the sign
 s**(t-1), so a product of degree d has a_{d-m} = sigma a_m with sigma the
@@ -24,14 +24,13 @@ an odd number of minus signs. :func:`dump_product` (the ``expand``
 command) builds a row modulo q**(d//2 + 1) and writes the rest as that
 mirror; :func:`build_product` and every check take rows built in full.
 
-:func:`family_rows` streams the rows of each product family, and
-:func:`build_product` is its last row:
+:func:`family_rows` is the one stream of rows of each product family,
+and :func:`build_product` is its last row:
 
 * ``main``: prod_{k=0}^{n} (1 + q**(3k+1)) (1 + q**(3k+2)), degree
-  3 (n+1)**2, through :func:`main_rows`. :func:`recurrence_step` states
-  the paper's row recurrence.
+  3 (n+1)**2. :func:`recurrence_step` states the paper's row recurrence.
 * ``signed``: prod_{k=0}^{n} (1 - q**(3k+1)) (1 - q**(3k+2)), the main
-  family's signed variant, through ``main_rows(n, -1)``.
+  family's signed variant.
 * ``odd``: prod_{k=1}^{n} (1 + q**(2k-1)).
 * ``almkvist``: prod_{k=1}^{n} (1 - q**(rk)) / (1 - q**k), a plain product
   of the geometric blocks 1 + q**k + ... + q**((r-1)k); no row is divided.
@@ -65,7 +64,6 @@ __all__ = [
     "evaluate_at_one",
     "family_rows",
     "main_degree",
-    "main_rows",
     "main_window",
     "mul_binomial",
     "parse_dump",
@@ -369,23 +367,11 @@ def product_rows(groups: Iterable[Iterable[tuple[int, ...]]], cap: int | None = 
         yield Polynomial._of(_settle(home[:count, :width]), _bound_bits(bound))
 
 
-def _main_groups(n_max: int, sign: int) -> list[tuple[tuple[int, int], ...]]:
-    """The factors of rows 0..n_max of the main family (sign 1) or its signed variant, a group a row."""
-    return [((sign, 3 * k + 1), (sign, 3 * k + 2)) for k in range(n_max + 1)]
-
-
-def main_rows(n_max: int, sign: int = 1) -> Iterator[Polynomial]:
-    """Rows 0..n_max of prod_{k=0}^{n} (1 + sign q**(3k+1)) (1 + sign q**(3k+2)).
-
-    ``sign=1`` is the main family, ``sign=-1`` its signed variant.
-    """
-    return product_rows(_main_groups(n_max, sign))
-
-
 def _family_groups(spec: ProductSpec) -> tuple[list, int | None]:
     """(one group of factors a row, the n of the first row) of the family ``spec`` names."""
     if spec.family in ("main", "signed"):
-        return _main_groups(spec.n, -1 if spec.family == "signed" else 1), 0
+        sign = -1 if spec.family == "signed" else 1
+        return [((sign, 3 * k + 1), (sign, 3 * k + 2)) for k in range(spec.n + 1)], 0
     if spec.family == "odd":
         return [[(1, 2 * k - 1)] if k else [] for k in range(spec.n + 1)], 0
     if spec.family == "almkvist":

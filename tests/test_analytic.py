@@ -21,6 +21,7 @@ from qunimodal.analytic import (
     coeff_by_integral,
     cosine_product,
     e_exponent,
+    envelope_bound,
     envelope_exponent_grid,
     envelope_grid,
     f_log,
@@ -581,8 +582,16 @@ class TestLobeRatio:
         assert "exploratory_below_168" in flags and "non_coefficient_probe" in flags
 
     def test_vacuous_center(self):
-        cert = i2_ratio_check(168, 0)
-        assert cert.passed and cert.detail["vacuous"]
+        assert lobe_ratio_certificates(168, [0])[0].to_json_dict() == {
+            "bound_id": "lobe_ratio",
+            "grid": {"lo": 0.0, "hi": math.pi / 2, "points": 0},
+            "min_margin": 0.0,
+            "argmin": math.pi / 1012,
+            "error_budget": 0.0,
+            "passed": True,
+            "n": 168,
+            "detail": {"mu": 0, "vacuous": True, "flags": ["non_coefficient_probe"]},
+        }
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -722,8 +731,9 @@ class TestEnvelopeGrid:
         cert = certify_E_bound(168, 1000)
         thetas = envelope_grid(168, 1000)
         values, _ = envelope_exponent_grid(168, thetas)
-        bound = -cert.detail["slope"] * 168 - cert.detail["intercept"]
-        assert cert.min_margin == float(np.min(bound - values))
+        bound = envelope_bound(168)
+        assert bound == -cert.detail["slope"] * 168 - cert.detail["intercept"]
+        assert cert.min_margin == min(bound - e for e in values)
         assert cert.argmin == float(thetas[np.argmin(bound - values)])
 
     @pytest.mark.parametrize("grid_points", [0, 1])

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from qunimodal import cli
+from qunimodal.analytic import envelope_bound
 from qunimodal.cli import main
 from qunimodal.polynomials import ProductSpec, build_product, dump_lines
 
@@ -179,6 +180,7 @@ class TestAnalyticCommands:
         lines = plot.read_text().splitlines()
         assert lines[0] == "theta,exponent,bound"
         assert len(lines) == 1001
+        assert {line.split(",")[2] for line in lines[1:]} == {repr(envelope_bound(168))}
 
     def test_certify_rejects_small_n(self, capsys):
         code, _, err = run_cli(["certify", "--n", "167"], capsys)

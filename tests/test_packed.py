@@ -45,7 +45,6 @@ from qunimodal.polynomials import (
     dump_lines,
     dump_product,
     family_rows,
-    main_rows,
     mul_binomial,
     product_rows,
     recurrence_step,
@@ -91,12 +90,16 @@ def want_lemma(n, cs):
     return {"kind": "lemma_range", "passed": True, "n": n, "details": f"window=[{lo},{hi}]"}
 
 
+def pattern_text(pattern):
+    """A pattern of +1/-1 entries as the text over '+-' that check_sign_pattern reads."""
+    return "".join("+" if s > 0 else "-" for s in pattern)
+
+
 def want_sign_pattern(cs, pattern):
     m = oracles.sign_violation(cs, pattern)
     if m is not None:
         return {"kind": "sign_pattern", "passed": False, "first_violation": m}
-    text = "".join("+" if s > 0 else "-" for s in pattern)
-    return {"kind": "sign_pattern", "passed": True, "details": f"pattern={text}"}
+    return {"kind": "sign_pattern", "passed": True, "details": f"pattern={pattern_text(pattern)}"}
 
 
 def trimmed(cs):
@@ -178,7 +181,7 @@ class TestChecksOnPackedRows:
     @given(st.lists(entries, min_size=1, max_size=30), patterns)
     def test_sign_pattern_matches_the_oracle(self, cs, pattern):
         p = Polynomial(cs)
-        got = check_sign_pattern(p, pattern).to_json_dict()
+        got = check_sign_pattern(p, pattern_text(pattern)).to_json_dict()
         assert got == want_sign_pattern(trimmed(cs), pattern)
 
     @given(
@@ -196,7 +199,7 @@ class TestChecksOnPackedRows:
         assert len(keys) == 1 and start > shift + 6
         assert_checks_match(p, cs)
         pattern = [sign, -sign]
-        assert check_sign_pattern(p, pattern).to_json_dict() == want_sign_pattern(cs, pattern)
+        assert check_sign_pattern(p, pattern_text(pattern)).to_json_dict() == want_sign_pattern(cs, pattern)
 
     @given(
         st.sampled_from([1, -1]),
@@ -240,7 +243,7 @@ class TestChecksOnPackedRows:
 
         def reports(q):
             trims = range(min(3, q.degree // 2) + 1)
-            return [check_symmetric(q), check_unimodal(q), check_sign_pattern(q, pattern),
+            return [check_symmetric(q), check_unimodal(q), check_sign_pattern(q, pattern_text(pattern)),
                     *(check_almost_unimodal(q, a) for a in trims)]
 
         assert len(q.limbs) == count
@@ -270,7 +273,7 @@ class TestChecksOnPackedRows:
             assert check_almost_unimodal(q, 3).to_json_dict() == want_almost_unimodal(cs, 3)
 
     def test_signed_rows_are_packed(self):
-        for n, p in enumerate(main_rows(12, sign=-1)):
+        for n, p in family_rows(ProductSpec.signed(12)):
             cs = oracles.naive_product(oracles.borwein_factors(n))
             assert (p.limbs[-1] < 0).any()  # a negative coefficient's sign is its top digit's
             assert_planes(p, cs)
@@ -301,14 +304,14 @@ class TestSlotWidth:
     def test_main_rows_167_use_336_bit_slots(self):
         # Row n has 2(n+1) binomials: |a_m| <= 2**(2n+2) - 1, so 2n + 2 bits,
         # one more digit every 28 rows.
-        rows = [(p.bits, len(p.limbs)) for p in main_rows(167)]
+        rows = [(p.bits, len(p.limbs)) for _, p in family_rows(ProductSpec.main(167))]
         assert rows == [(2 * n + 2, (2 * n + 2 + 55) // 56) for n in range(168)]
         assert rows[-1] == (336, 6)
 
     def test_the_recurrence_chain_sizes_rows_as_the_stream(self):
         # recurrence_step multiplies by two binomials, one bit each, so the
         # chain from row 0 keeps the stream's bits and digit count.
-        p, want = build_product(ProductSpec.main(0)), list(main_rows(60))
+        p, want = build_product(ProductSpec.main(0)), [row for _, row in family_rows(ProductSpec.main(60))]
         for n in range(1, 61):
             p = recurrence_step(p, n)
             assert (p.bits, len(p.limbs)) == (want[n].bits, len(want[n].limbs))
@@ -385,7 +388,7 @@ class TestRowsEndToEnd:
         streams = {
             "main": (family_rows(ProductSpec.main(10)), oracles.main_factors),
             "odd": (family_rows(ProductSpec.odd(10)), oracles.odd_factors),
-            "signed": (enumerate(main_rows(10, sign=-1)), oracles.borwein_factors),
+            "signed": (family_rows(ProductSpec.signed(10)), oracles.borwein_factors),
         }
         for stream, factors in streams.values():
             for n, p in stream:
@@ -521,10 +524,10 @@ class TestQuotientStream:
 
 class TestHeldRows:
     def test_rows_held_past_the_next_step_equal_the_oracle(self):
-        held = list(main_rows(30))
-        assert [list(p.coeffs) for p in held] == oracle_main_rows(30)
-        held = list(main_rows(20, sign=-1))
-        assert [list(p.coeffs) for p in held] == oracle_main_rows(20, sign=-1)
+        held = list(family_rows(ProductSpec.main(30)))
+        assert [list(p.coeffs) for _, p in held] == oracle_main_rows(30)
+        held = list(family_rows(ProductSpec.signed(20)))
+        assert [list(p.coeffs) for _, p in held] == oracle_main_rows(20, sign=-1)
         for n, p in list(family_rows(ProductSpec.odd(12))):
             assert_planes(p, oracles.naive_product(oracles.odd_factors(n)))
         want = [1]
@@ -555,19 +558,19 @@ class TestHeldRows:
         assert len({id(b) for b in bases}) == 3  # the empty group repeats its row
 
     def test_a_held_row_survives_later_rows(self):
-        rows = main_rows(30)
+        rows = family_rows(ProductSpec.main(30))
         for _ in range(10):
             next(rows)
-        held = next(rows)
+        _, held = next(rows)
         for _ in range(20):
             next(rows)
         assert list(held.coeffs) == oracle_main_rows(10)[10]
 
     def test_a_held_plane_view_survives_later_rows(self):
-        rows = main_rows(40)
+        rows = family_rows(ProductSpec.main(40))
         for _ in range(5):
             next(rows)
-        p = next(rows)
+        _, p = next(rows)
         v = p.limbs[0]
         want = v.copy()
         del p
@@ -575,20 +578,17 @@ class TestHeldRows:
             next(rows)
         assert np.array_equal(v, want)
 
-    @pytest.mark.parametrize("stream", ["main", "signed", "family", "odd", "almkvist"])
+    @pytest.mark.parametrize("stream", ["main", "signed", "odd", "almkvist"])
     def test_rows_the_consumer_drops_share_one_buffer(self, stream):
         # Groups of one factor (odd, almkvist) grow their rows in the one buffer too.
-        rows = {
-            "main": lambda: main_rows(30),
-            "signed": lambda: main_rows(30, sign=-1),
-            "family": lambda: family_rows(ProductSpec.main(30)),
-            "odd": lambda: family_rows(ProductSpec.odd(30)),
-            "almkvist": lambda: family_rows(ProductSpec.almkvist(4, 31)),
-        }[stream]()
+        spec = {
+            "main": ProductSpec.main(30),
+            "signed": ProductSpec.signed(30),
+            "odd": ProductSpec.odd(30),
+            "almkvist": ProductSpec.almkvist(4, 31),
+        }[stream]
         addresses, coefficients = [], []
-        for p in rows:
-            if stream in ("family", "odd", "almkvist"):
-                _, p = p
+        for _, p in family_rows(spec):
             # The data pointer only: holding ``p.limbs.base`` would keep the buffer in use.
             addresses.append(p.limbs.__array_interface__["data"][0])
             coefficients.append(list(p.coeffs))
@@ -605,16 +605,14 @@ class TestHeldRows:
     def test_the_stream_holds_one_row(self, stream):
         # Dropped rows: the stream's buffer is the last row's size, and its
         # scratch is a block of one plane.
-        rows = {
-            "main": lambda: main_rows(167),
-            "signed": lambda: main_rows(150, sign=-1),
-            "almkvist": lambda: family_rows(ProductSpec.almkvist(5, 60)),
+        spec = {
+            "main": ProductSpec.main(167),
+            "signed": ProductSpec.signed(150),
+            "almkvist": ProductSpec.almkvist(5, 60),
         }[stream]
         tracemalloc.start()
         try:
-            for p in rows():
-                if stream == "almkvist":
-                    _, p = p
+            for _, p in family_rows(spec):
                 planes, nbytes = len(p.limbs), p.limbs.nbytes
                 del p
             peak = tracemalloc.get_traced_memory()[1]
@@ -645,24 +643,21 @@ class TestHeldRows:
         # grows in the stream's buffer after a dropped row and in a fresh
         # copy after a held one, where a digit count grows too.
         if stream == "almkvist":
-            rows, n, want = family_rows(ProductSpec.almkvist(5, 57)), 1, [[1]]
+            spec, want = ProductSpec.almkvist(5, 57), [[1]]
             for k in range(1, 58):
                 want.append(shifted_sum(want[-1], 1, k, 5))
         else:
             sign = -1 if stream == "signed" else 1
-            rows, n, want = main_rows(64, sign), 0, []
+            spec, want = ProductSpec.signed(64) if sign < 0 else ProductSpec.main(64), []
             for k in range(65):
                 want.append(shifted_sum(shifted_sum(want[-1] if want else [1], sign, 3 * k + 1), sign, 3 * k + 2))
         held, counts = {}, {}
-        for p in rows:
-            if stream == "almkvist":
-                _, p = p
+        for n, p in family_rows(spec):
             assert list(p.coeffs) == want[n]
             counts[n] = len(p.limbs)
             if n % 3 == 0:
                 held[n] = p
             del p
-            n += 1
         assert [n for n in counts if n - 1 in counts and counts[n] > counts[n - 1]] == grows_at
         for n, p in held.items():
             assert_planes(p, want[n])
@@ -690,7 +685,8 @@ class TestHeldRows:
         assert len(finals) == 31 and len(set(finals[1:])) == 1
 
     def test_yielded_planes_are_not_writeable(self):
-        rows = [*main_rows(3), *main_rows(3, sign=-1), *(p for _, p in family_rows(ProductSpec.almkvist(3, 4)))]
+        specs = ProductSpec.main(3), ProductSpec.signed(3), ProductSpec.almkvist(3, 4)
+        rows = [p for spec in specs for _, p in family_rows(spec)]
         rows += [mul_binomial(rows[-1], -1, 2, 4), Polynomial([5, -2**70])]
         for p in rows:
             assert not p.limbs.flags.writeable
@@ -743,7 +739,7 @@ class TestCarries:
     @given(st.lists(limb_edges, min_size=1, max_size=12), factors_or_blocks)
     def test_mul_binomial_leaves_its_row_unchanged(self, cs, factor):
         # A row built from a list, and a row that is a view of a stream's buffer.
-        *_, streamed = main_rows(12, sign=-1)
+        *_, (_, streamed) = family_rows(ProductSpec.signed(12))
         for p in (Polynomial(cs), streamed):
             before = p.limbs.copy()
             q = mul_binomial(p, *factor)
@@ -824,7 +820,7 @@ class TestPlaneReads:
 
     def test_equal_rows_in_different_layouts(self):
         # Row 31 carries a 64-bit bound (two digits); its coefficients fit one.
-        *_, row = main_rows(31)
+        *_, (_, row) = family_rows(ProductSpec.main(31))
         plain = Polynomial(row.coeffs)
         assert (len(row.limbs), len(plain.limbs)) == (2, 1)
         assert row == plain and hash(row) == hash(plain)
@@ -841,7 +837,7 @@ class TestPlaneReads:
 
     def test_dump_crosses_its_blocks(self):
         # 5,044 two-digit coefficients of both signs: five blocks of the dump
-        *_, p = main_rows(40, sign=-1)
+        *_, (_, p) = family_rows(ProductSpec.signed(40))
         cs = oracle_main_rows(40, sign=-1)[-1]
         assert (len(cs), len(p.limbs), min(cs) < 0) == (5044, 2, True)
         assert list(dump_lines(p)) == [f"{m},{c}" for m, c in enumerate(cs)]
@@ -925,6 +921,7 @@ class TestCappedRows:
 
     def test_the_capped_main_chain(self):
         # Rows 0..60 of the main family, the later ones wider than the cap and held past it.
-        capped = list(product_rows(polynomials._main_groups(60, 1), 2000))
-        for full, row in zip(main_rows(60), capped):
+        groups, _ = polynomials._family_groups(ProductSpec.main(60))
+        capped = list(product_rows(groups, 2000))
+        for (_, full), row in zip(family_rows(ProductSpec.main(60)), capped):
             assert np.array_equal(row.limbs, full.limbs[:, :2000])

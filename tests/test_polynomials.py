@@ -16,8 +16,8 @@ from qunimodal.polynomials import (
     dump_lines,
     evaluate_at_minus_one,
     evaluate_at_one,
+    family_rows,
     main_degree,
-    main_rows,
     mul_binomial,
     parse_dump,
     product_rows,
@@ -210,13 +210,13 @@ class TestRecurrenceStep:
 
 class TestRowStream:
     def test_main_rows_match_oracle(self):
-        rows = list(main_rows(6))
-        assert len(rows) == 7
-        for n, p in enumerate(rows):
+        rows = list(family_rows(ProductSpec.main(6)))
+        assert [n for n, _ in rows] == list(range(7))
+        for n, p in rows:
             assert list(p.coeffs) == oracles.naive_product(oracles.main_factors(n))
 
     def test_signed_main_rows_match_oracle(self):
-        for n, p in enumerate(main_rows(4, sign=-1)):
+        for n, p in family_rows(ProductSpec.signed(4)):
             assert list(p.coeffs) == oracles.naive_product(oracles.borwein_factors(n))
 
     def test_odd_rows_match_oracle(self):

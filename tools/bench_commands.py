@@ -22,8 +22,10 @@ process may run on, the number of modules in ``sys.modules`` and whether
 which side goes first. Each run works in a fresh directory of the same path
 length on both sides; give checkouts whose paths have equal length too, since
 the path alone can move peak memory by a few tenths of a MB. The ``results``
-block of every report (the row file for ``expand``) must be the same across
-all runs of both sides.
+block of every report (the row file for ``expand``), with the ``--plot-csv``
+file of a command that writes one, must be the same across all runs of both
+sides. The BENCH file also records each side's ``src_lines``, the lines of its
+``src/qunimodal/*.py``.
 
 ``--bench-pairs N`` then runs ``python3 bench/run.py --workload W --seed 23
 --seconds S`` in each checkout, N alternating parent/change pairs per
@@ -36,6 +38,7 @@ Uses the standard library only and does not import qunimodal.
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import importlib.metadata
 import json
@@ -67,6 +70,8 @@ COMMANDS = {
     "lobe_ratio_300_7": ["certify", "--n", "168", "--i2-n", "300", "--i2-mu", "7", "--report", "r.json"],
     "certify_probe": ["certify", "--n", "168,300", "--gamma-tail", "--i2-n", "168", "--i2-mu", "0,2,1011,2000",
                       "--report", "r.json"],
+    "certify_csv": ["certify", "--n", "300", "--plot-csv", "p.csv", "--report", "r.json"],
+    "sweep_f_csv": ["sweep-f", "--n-max", "400", "--plot-csv", "f.csv", "--report", "r.json"],
     "verify_odd": ["verify", "--family", "odd", "--n-max", "60", "--report", "r.json"],
     "verify_almkvist": ["verify", "--family", "almkvist", "--r", "3", "--n-max", "40", "--report", "r.json"],
     "verify_general": ["verify", "--family", "general", "--factors", "+1,+2,+4,+5,+7,+8,-3,+9", "--report", "r.json"],
@@ -112,14 +117,27 @@ def _env() -> dict[str, str]:
 
 
 def _output_digest(argv: list[str], cwd: str) -> str:
-    """Digest of the report's ``results`` block, or of the row file for ``expand``."""
+    """Digest of the report's ``results`` block (the row file for ``expand``), then of any ``--plot-csv`` file."""
     if "--out" in argv:
         with open(os.path.join(cwd, argv[argv.index("--out") + 1]), "rb") as fh:
             data = fh.read()
     else:
         with open(os.path.join(cwd, argv[argv.index("--report") + 1]), encoding="utf-8") as fh:
             data = json.dumps(json.load(fh)["results"], sort_keys=True).encode()
-    return hashlib.sha256(data).hexdigest()
+    digest = hashlib.sha256(data)
+    if "--plot-csv" in argv:
+        with open(os.path.join(cwd, argv[argv.index("--plot-csv") + 1]), "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
+
+def _src_lines(root: str) -> int:
+    """Lines of ``root``'s ``src/qunimodal/*.py``, as ``cat src/qunimodal/*.py | wc -l`` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "qunimodal", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def run_command(root: str, argv: list[str], workdir: str, cold: bool = False) -> dict:
@@ -269,6 +287,7 @@ def main(argv=None) -> int:
                     "cpus_available": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None},
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
+        "src_lines": {side: _src_lines(root) for side, root in sides.items()},
         "method": (
             "each command is one fresh python3 process with the side's src first on sys.path and "
             "OPENBLAS/OMP/MKL_NUM_THREADS=1, run from a working directory of the same path length on "
@@ -283,7 +302,8 @@ def main(argv=None) -> int:
             "modules the count of sys.modules and numpy_random/numpy_polynomial whether those are in it, "
             f"read after the call; {args.runs} runs per side, the sides alternating which runs first; "
             "medians with all warm runs listed. outputs_identical compares each run's report `results` "
-            "block (the row file for expand) across all runs of both sides, the cold ones too"
+            "block (the row file for expand) and its --plot-csv file, if any, across all runs of both "
+            "sides, the cold ones too; src_lines counts the lines of each side's src/qunimodal/*.py"
         ),
         "commands": commands,
     }
