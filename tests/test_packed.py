@@ -578,17 +578,25 @@ class TestHeldRows:
             next(rows)
         assert np.array_equal(v, want)
 
-    @pytest.mark.parametrize("stream", ["main", "signed", "odd", "almkvist"])
+    @pytest.mark.parametrize("stream", ["main", "signed", "family", "odd", "almkvist"])
     def test_rows_the_consumer_drops_share_one_buffer(self, stream):
-        # Groups of one factor (odd, almkvist) grow their rows in the one buffer too.
-        spec = {
-            "main": ProductSpec.main(30),
-            "signed": ProductSpec.signed(30),
-            "odd": ProductSpec.odd(30),
-            "almkvist": ProductSpec.almkvist(4, 31),
-        }[stream]
+        # [main] and [signed] read product_rows itself, [family] the family_rows
+        # stream over it. Groups of one factor (odd, almkvist) grow their rows
+        # in the one buffer too.
+        def main_groups(sign):
+            return [((sign, 3 * k + 1), (sign, 3 * k + 2)) for k in range(31)]
+
+        rows = {
+            "main": lambda: product_rows(main_groups(1)),
+            "signed": lambda: product_rows(main_groups(-1)),
+            "family": lambda: family_rows(ProductSpec.main(30)),
+            "odd": lambda: family_rows(ProductSpec.odd(30)),
+            "almkvist": lambda: family_rows(ProductSpec.almkvist(4, 31)),
+        }[stream]()
         addresses, coefficients = [], []
-        for _, p in family_rows(spec):
+        for p in rows:
+            if stream in ("family", "odd", "almkvist"):
+                _, p = p
             # The data pointer only: holding ``p.limbs.base`` would keep the buffer in use.
             addresses.append(p.limbs.__array_interface__["data"][0])
             coefficients.append(list(p.coeffs))
