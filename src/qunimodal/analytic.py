@@ -160,18 +160,8 @@ class BoundCertificate:
             self.passed = bool(self.min_margin > self.error_budget)
 
     def to_json_dict(self) -> dict:
-        out: dict = {
-            "bound_id": self.bound_id,
-            "grid": {"lo": self.grid_lo, "hi": self.grid_hi, "points": self.grid_points},
-            "min_margin": self.min_margin,
-            "argmin": self.argmin,
-            "error_budget": self.error_budget,
-            "passed": self.passed,
-        }
-        if self.n is not None:
-            out["n"] = self.n
-        if self.detail:
-            out["detail"] = self.detail
+        out = {key: value for key, value in vars(self).items() if value is not None and value != {}}
+        out["grid"] = {key: out.pop(f"grid_{key}") for key in ("lo", "hi", "points")}
         return out
 
 

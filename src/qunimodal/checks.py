@@ -56,14 +56,7 @@ class CheckReport:
     details: str = ""
 
     def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "passed": self.passed}
-        for key in ("first_violation", "mode_lo", "mode_hi", "n"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.details:
-            out["details"] = self.details
-        return out
+        return {key: value for key, value in vars(self).items() if value is not None and value != ""}
 
 
 def _steps(p: Polynomial, lo: int, hi: int) -> np.ndarray:

@@ -186,12 +186,17 @@ class Polynomial:
         return f"Polynomial(degree={self.degree}, coeffs=[{shown}{ellipsis}])"
 
 
+# The n of each counted family's first row, and the least n its spec accepts.
+_FIRST_N = {"main": 0, "signed": 0, "odd": 0, "almkvist": 1}
+
+
 @dataclass(frozen=True)
 class ProductSpec:
     """Description of one product to expand.
 
-    Use the classmethod constructors; they validate parameters for the
-    family they name.
+    Every spec checks itself where it is made, whether directly or by a
+    classmethod constructor, and raises ValueError for an unknown family
+    or a parameter out of its family's range.
     """
 
     family: str
@@ -199,37 +204,38 @@ class ProductSpec:
     r: int | None = None
     factors: tuple[tuple[int, int], ...] | None = None
 
+    def __post_init__(self) -> None:
+        if self.family == "general":
+            for sign, exponent in self.factors:
+                _check_factor(sign, exponent, 2)
+            return
+        if self.family not in _FIRST_N:
+            raise ValueError(f"unknown product family {self.family!r}")
+        name = "quotient" if self.family == "almkvist" else self.family
+        first = _FIRST_N[self.family]
+        if name == "quotient" and (self.r is None or self.r < 2):
+            raise ValueError("quotient family needs r >= 2")
+        if self.n is None or self.n < first:
+            raise ValueError(f"{name} family needs n >= {first}")
+
     @classmethod
     def main(cls, n: int) -> "ProductSpec":
-        if n < 0:
-            raise ValueError("main family needs n >= 0")
         return cls(family="main", n=n)
 
     @classmethod
     def signed(cls, n: int) -> "ProductSpec":
-        if n < 0:
-            raise ValueError("signed family needs n >= 0")
         return cls(family="signed", n=n)
 
     @classmethod
     def odd(cls, n: int) -> "ProductSpec":
-        if n < 0:
-            raise ValueError("odd family needs n >= 0")
         return cls(family="odd", n=n)
 
     @classmethod
     def general(cls, factors: Sequence[tuple[int, int]]) -> "ProductSpec":
-        checked = tuple((int(sign), int(exponent)) for sign, exponent in factors)
-        for sign, exponent in checked:
-            _check_factor(sign, exponent, 2)
-        return cls(family="general", factors=checked)
+        return cls(family="general", factors=tuple((int(sign), int(exponent)) for sign, exponent in factors))
 
     @classmethod
     def almkvist(cls, r: int, n: int) -> "ProductSpec":
-        if r < 2:
-            raise ValueError("quotient family needs r >= 2")
-        if n < 1:
-            raise ValueError("quotient family needs n >= 1")
         return cls(family="almkvist", r=r, n=n)
 
 
@@ -367,31 +373,29 @@ def product_rows(groups: Iterable[Iterable[tuple[int, ...]]], cap: int | None = 
         yield Polynomial._of(_settle(home[:count, :width]), _bound_bits(bound))
 
 
-def _family_groups(spec: ProductSpec) -> tuple[list, int | None]:
-    """(one group of factors a row, the n of the first row) of the family ``spec`` names."""
+def _family_groups(spec: ProductSpec) -> list:
+    """One group of factors a row of the family ``spec`` names, from its first row on."""
     if spec.family in ("main", "signed"):
         sign = -1 if spec.family == "signed" else 1
-        return [((sign, 3 * k + 1), (sign, 3 * k + 2)) for k in range(spec.n + 1)], 0
+        return [((sign, 3 * k + 1), (sign, 3 * k + 2)) for k in range(spec.n + 1)]
     if spec.family == "odd":
-        return [[(1, 2 * k - 1)] if k else [] for k in range(spec.n + 1)], 0
+        return [[(1, 2 * k - 1)] if k else [] for k in range(spec.n + 1)]
     if spec.family == "almkvist":
-        return [[(1, k, spec.r)] for k in range(1, spec.n + 1)], 1
-    if spec.family == "general":
-        return [spec.factors], None
-    raise ValueError(f"unknown product family {spec.family!r}")
+        return [[(1, k, spec.r)] for k in range(1, spec.n + 1)]
+    return [spec.factors]
 
 
 def family_rows(spec: ProductSpec) -> Iterator[tuple[int | None, Polynomial]]:
     """Yield (n, row) for each row of the family ``spec`` names, up to ``spec.n``.
 
-    ``main``, ``signed`` and ``odd`` start at n = 0 and ``almkvist`` at n = 1; a
-    ``general`` product is one row, tagged n = None. No reference to a row
-    is kept once the stream moves on, so a consumer that drops its row
-    before asking for the next (as :func:`checked_rows` does) lets the next
-    grow in place, in the array that held it.
+    A counted family starts at its first n in ``_FIRST_N``; a ``general``
+    product is one row, tagged n = None. No reference to a row is kept
+    once the stream moves on, so a consumer that drops its row before
+    asking for the next (as :func:`checked_rows` does) lets the next grow
+    in place, in the array that held it.
     """
-    groups, n = _family_groups(spec)
-    for p in product_rows(groups):
+    n = _FIRST_N.get(spec.family)
+    for p in product_rows(_family_groups(spec)):
         yield n, p
         del p
         n = None if n is None else n + 1
@@ -415,8 +419,7 @@ def checked_rows(spec: ProductSpec, check: Callable, n_min: int = 0) -> Iterator
 
 def _spec_factors(spec: ProductSpec) -> list[tuple[int, int, int]]:
     """Every (sign, exponent, terms) factor of the last row of the family ``spec`` names."""
-    groups, _ = _family_groups(spec)
-    return [(*factor, 2)[:3] for group in groups for factor in group]
+    return [(*factor, 2)[:3] for group in _family_groups(spec) for factor in group]
 
 
 def build_product(spec: ProductSpec) -> Polynomial:

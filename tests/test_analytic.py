@@ -629,6 +629,15 @@ class TestOnePassRule:
         cert = BoundCertificate("probe", 0.0, 1.0, 2, margin, 0.5, budget)
         assert cert.passed is passed
 
+    def test_json_keeps_zeros_and_drops_what_is_unset(self):
+        grid = {"lo": 0.0, "hi": 1.0, "points": 0}
+        kept = BoundCertificate("probe", 0.0, 1.0, 0, 0.0, 0.0, 0.0, passed=False, n=0, detail={"mu": 0})
+        assert kept.to_json_dict() == {"bound_id": "probe", "grid": grid, "min_margin": 0.0, "argmin": 0.0,
+                                       "error_budget": 0.0, "passed": False, "n": 0, "detail": {"mu": 0}}
+        dropped = BoundCertificate("probe", 0.0, 1.0, 0, 0.0, 0.0, 0.0, passed=False, n=None, detail={})
+        assert dropped.to_json_dict() == {"bound_id": "probe", "grid": grid, "min_margin": 0.0, "argmin": 0.0,
+                                          "error_budget": 0.0, "passed": False}
+
 
 class TestReconstructionSweep:
     def test_small_rows(self):

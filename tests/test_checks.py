@@ -265,3 +265,8 @@ class TestReportShape:
             "n": 3,
             "details": "x",
         }
+
+    def test_json_keeps_zeros_and_drops_empty_details(self):
+        # set means not None: a violation at index 0 of row 0 is reported
+        rep = CheckReport("demo", False, first_violation=0, n=0, details="")
+        assert rep.to_json_dict() == {"kind": "demo", "passed": False, "first_violation": 0, "n": 0}

@@ -118,3 +118,19 @@ class TestFamilyRows:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             list(family_rows(ProductSpec(family="even", n=3)))
+
+    @pytest.mark.parametrize(
+        "family,fields,message",
+        [
+            ("main", {"n": -1}, "main family needs n >= 0"),
+            ("odd", {"n": -2}, "odd family needs n >= 0"),
+            ("signed", {}, "signed family needs n >= 0"),
+            ("almkvist", {"r": 1, "n": 3}, "quotient family needs r >= 2"),
+            ("almkvist", {"r": 3, "n": 0}, "quotient family needs n >= 1"),
+            ("general", {"factors": ((2, 1),)}, "sign must be"),
+        ],
+    )
+    def test_a_direct_spec_checks_itself(self, family, fields, message):
+        # made without a classmethod, a spec is checked just the same
+        with pytest.raises(ValueError, match=message):
+            ProductSpec(family, **fields)

@@ -929,7 +929,7 @@ class TestCappedRows:
 
     def test_the_capped_main_chain(self):
         # Rows 0..60 of the main family, the later ones wider than the cap and held past it.
-        groups, _ = polynomials._family_groups(ProductSpec.main(60))
+        groups = polynomials._family_groups(ProductSpec.main(60))
         capped = list(product_rows(groups, 2000))
         for (_, full), row in zip(family_rows(ProductSpec.main(60)), capped):
             assert np.array_equal(row.limbs, full.limbs[:, :2000])

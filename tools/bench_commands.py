@@ -52,6 +52,9 @@ import tempfile
 
 COMMANDS = {
     "expand": ["expand", "--family", "main", "--n", "167", "--out", "rows.txt"],
+    "expand_general": ["expand", "--family", "general", "--factors", "+1,+2,-3,+4,-5,-6,+7", "--out", "rows.txt"],
+    "expand_almkvist": ["expand", "--family", "almkvist", "--r", "3", "--n", "40", "--out", "rows.txt"],
+    "expand_odd": ["expand", "--family", "odd", "--n", "60", "--out", "rows.txt"],
     "verify": ["verify", "--n-max", "167", "--report", "r.json"],
     "lemma": ["lemma", "--n-max", "167", "--report", "r.json"],
     "induction": ["induction", "--n-max", "167", "--report", "r.json"],
